@@ -435,12 +435,15 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                 srf_.tick();
                 ++cycle_;
                 Cycle now = cycle_ - 1;
-                Cycle h = std::min(
-                    mem_.nextEventAfter(now),
-                    std::min(sc_.nextEventAfter(now),
-                             std::min(srf_.nextEventAfter(now),
-                                      host_.nextEventAfter(now))));
-                h = std::min(h, target);
+                // Same cheapest-reject order as the main loop: stop at
+                // the first horizon that is the very next cycle.
+                Cycle h = std::min(target, mem_.nextEventAfter(now));
+                if (h > cycle_)
+                    h = std::min(h, sc_.nextEventAfter(now));
+                if (h > cycle_)
+                    h = std::min(h, srf_.nextEventAfter(now));
+                if (h > cycle_)
+                    h = std::min(h, host_.nextEventAfter(now));
                 if (h <= cycle_)
                     continue;
                 uint64_t idle = h - cycle_;

@@ -82,7 +82,7 @@ StreamController::rearmTrace()
             const char *stage;
             switch (s.state) {
               case SlotState::Waiting:
-                stage = depsSatisfied(s) ? "res" : "dep";
+                stage = s.ready ? "res" : "dep";
                 break;
               case SlotState::NeedUcode: stage = "ucode"; break;
               case SlotState::Issuing: stage = "issue"; break;
@@ -104,6 +104,7 @@ StreamController::beginProgram(const StreamProgram &program)
     IMAGINE_ASSERT(slots_.empty(), "beginProgram with busy scoreboard");
     program_ = &program;
     done_.assign(program.instrs.size(), 0);
+    eventPending_ = true;
 }
 
 void
@@ -111,6 +112,8 @@ StreamController::retireHostSide(uint32_t idx, StreamOpKind kind)
 {
     IMAGINE_ASSERT(idx < done_.size(), "retire out of range");
     done_[idx] = 1;
+    refreshReady();
+    eventPending_ = true;
     ++stats_.instrsRetired;
     ++stats_.kindCount[static_cast<int>(kind)];
 }
@@ -129,6 +132,8 @@ StreamController::enqueue(uint32_t idx, const StreamInstr *instr)
     Slot s;
     s.idx = idx;
     s.instr = instr;
+    s.ready = depsSatisfied(s);
+    eventPending_ = true;
     if (trace_) {
         // Lease a free track from the fixed scoreboard pool (one always
         // exists: slots_ is bounded by the same cfg.scoreboardSlots).
@@ -137,7 +142,7 @@ StreamController::enqueue(uint32_t idx, const StreamInstr *instr)
                 continue;
             slotTrackBusy_[i] = 1;
             s.traceTrack = static_cast<int16_t>(i);
-            s.traceStage = depsSatisfied(s) ? "res" : "dep";
+            s.traceStage = s.ready ? "res" : "dep";
             trace_->openSpan(slotTracks_[i], trace_->now(),
                              s.traceStage, s.idx,
                              static_cast<uint64_t>(instr->kind));
@@ -160,6 +165,14 @@ StreamController::depsSatisfied(const Slot &s) const
         if (!done_[d])
             return false;
     return true;
+}
+
+void
+StreamController::refreshReady()
+{
+    for (Slot &s : slots_)
+        if (s.instr && !s.ready)
+            s.ready = depsSatisfied(s);
 }
 
 bool
@@ -330,6 +343,8 @@ StreamController::complete(Slot &s)
         return;
     }
     done_[s.idx] = 1;
+    refreshReady();
+    compactPending_ = true;
     ++stats_.instrsRetired;
     ++stats_.kindCount[static_cast<int>(s.instr->kind)];
     if (trace_ && s.traceTrack >= 0) {
@@ -378,40 +393,26 @@ StreamController::retryOrGiveUp(Slot &s)
     s.issueDone = 0;
 }
 
-void
-StreamController::tick(Cycle now)
+bool
+StreamController::completionDue(Cycle now) const
 {
-    // --- finish a microcode load ---------------------------------------
-    if (ucodeLoadAg_ >= 0 && mem_.agDone(ucodeLoadAg_)) {
-        mem_.finish(ucodeLoadAg_);
-        if (inj_ && inj_->onUcodeLoad(ucodeLoading_)) {
-            // Parity caught a corrupted transfer: discard and re-run.
-            uint16_t kernelId = ucodeLoading_;
-            ucodeLoadAg_ = -1;
-            ucodeLoading_ = UINT16_MAX;
-            if (++ucodeRetries_ > cfg_.faults.maxRetries) {
-                inj_->noteRetryExhausted();
-                throw SimError(
-                    SimErrorKind::UnrecoveredFault,
-                    strfmt("microcode load of kernel %s corrupted; "
-                           "retry budget (%d) exhausted",
-                           kernels_[kernelId].name(),
-                           cfg_.faults.maxRetries));
-            }
-            inj_->noteRetry();
-            startUcodeLoad(kernelId, now);
-        } else {
-            const kernelc::CompiledKernel &k = kernels_[ucodeLoading_];
-            ucodeSize_[ucodeLoading_] = k.ucodeInstrs;
-            ucodeUsed_ += k.ucodeInstrs;
-            ucodeLru_.push_front(ucodeLoading_);
-            ucodeLoadAg_ = -1;
-            ucodeLoading_ = UINT16_MAX;
-            ucodeRetries_ = 0;
-        }
-    }
+    // At most one slot is Issuing, and only while the issue pipeline is
+    // busy (issueScan() stops at the first issue and only runs once the
+    // pipeline is free); it dispatches exactly when the pipeline frees.
+    if (issueBusy_ && now >= issueBusyUntil_)
+        return true;
+    // A done AG belongs to a Running memory slot or to the microcode
+    // load, and the clusters are only done() under a Running kernel
+    // slot.
+    for (int i = 0; i < cfg_.numAddressGenerators; ++i)
+        if (mem_.agDone(i))
+            return true;
+    return clusters_.done();
+}
 
-    // --- completions and dispatches ------------------------------------
+void
+StreamController::processCompletions(Cycle now)
+{
     for (Slot &s : slots_) {
         if (!s.instr)
             continue;
@@ -480,74 +481,181 @@ StreamController::tick(Cycle now)
             break;
         }
     }
-    std::erase_if(slots_, [](const Slot &s) { return !s.instr; });
+}
 
-    if (issueBusy_ && now >= issueBusyUntil_)
-        issueBusy_ = false;
+void
+StreamController::tick(Cycle now)
+{
+    // Everything below the completion loop reads only SC state, the
+    // clusters' busy flag and AG idleness, and those change only at an
+    // SC-visible event (DESIGN.md section 8): without one the tick has
+    // nothing to do.
+    bool event = eventPending_;
+    eventPending_ = false;
 
-    // --- pick the next instruction to issue (oldest eligible) ----------
-    if (!issueBusy_) {
-        bool kernelInFlight = clusters_.busy();
-        for (Slot &s : slots_) {
-            if (s.state == SlotState::Issuing ||
-                s.state == SlotState::Running) {
-                if (s.instr->kind == StreamOpKind::KernelExec ||
-                    s.instr->kind == StreamOpKind::Restart) {
-                    kernelInFlight = true;
-                }
+    // --- finish a microcode load ---------------------------------------
+    if (ucodeLoadAg_ >= 0 && mem_.agDone(ucodeLoadAg_)) {
+        event = true;
+        mem_.finish(ucodeLoadAg_);
+        if (inj_ && inj_->onUcodeLoad(ucodeLoading_)) {
+            // Parity caught a corrupted transfer: discard and re-run.
+            uint16_t kernelId = ucodeLoading_;
+            ucodeLoadAg_ = -1;
+            ucodeLoading_ = UINT16_MAX;
+            if (++ucodeRetries_ > cfg_.faults.maxRetries) {
+                inj_->noteRetryExhausted();
+                throw SimError(
+                    SimErrorKind::UnrecoveredFault,
+                    strfmt("microcode load of kernel %s corrupted; "
+                           "retry budget (%d) exhausted",
+                           kernels_[kernelId].name(),
+                           cfg_.faults.maxRetries));
             }
-        }
-        for (Slot &s : slots_) {
-            if (s.state != SlotState::Waiting &&
-                s.state != SlotState::NeedUcode) {
-                continue;
-            }
-            if (!depsSatisfied(s))
-                continue;
-            switch (s.instr->kind) {
-              case StreamOpKind::KernelExec:
-              case StreamOpKind::Restart: {
-                if (kernelInFlight)
-                    continue;
-                if (!ucodeResident(s.instr->kernelId)) {
-                    s.state = SlotState::NeedUcode;
-                    startUcodeLoad(s.instr->kernelId, now);
-                    continue;
-                }
-                s.state = SlotState::Waiting;
-                tryIssue(s, now);
-                break;
-              }
-              case StreamOpKind::MemLoad:
-              case StreamOpKind::MemStore: {
-                int ag = -1;
-                for (int i = 0; i < cfg_.numAddressGenerators; ++i) {
-                    if (mem_.agIdle(i) && i != ucodeLoadAg_ &&
-                        i != reservedAg_) {
-                        ag = i;
-                        break;
-                    }
-                }
-                // Reserve an AG for a pending microcode load.
-                if (ag < 0)
-                    continue;
-                s.ag = ag;
-                reservedAg_ = ag;   // held until dispatch
-                tryIssue(s, now);
-                break;
-              }
-              default:
-                tryIssue(s, now);
-                break;
-            }
-            if (issueBusy_)
-                break;
+            inj_->noteRetry();
+            startUcodeLoad(kernelId, now);
+        } else {
+            const kernelc::CompiledKernel &k = kernels_[ucodeLoading_];
+            ucodeSize_[ucodeLoading_] = k.ucodeInstrs;
+            ucodeUsed_ += k.ucodeInstrs;
+            ucodeLru_.push_front(ucodeLoading_);
+            ucodeLoadAg_ = -1;
+            ucodeLoading_ = UINT16_MAX;
+            ucodeRetries_ = 0;
         }
     }
 
+    // --- completions and dispatches ------------------------------------
+    // Slot order matters (SRF client handles, fault-injector draws), so
+    // a due event runs the full in-order loop.
+    if (completionDue(now)) {
+        event = true;
+        processCompletions(now);
+    }
+    if (compactPending_) {
+        std::erase_if(slots_, [](const Slot &s) { return !s.instr; });
+        compactPending_ = false;
+    }
+
+    if (issueBusy_ && now >= issueBusyUntil_) {
+        issueBusy_ = false;
+        event = true;
+    }
+    if (clusters_.busy() != clustersBusy_)
+        event = true;
+    if (!event)
+        return;
+
+    if (!issueBusy_)
+        issueScan(now);
+    clustersBusy_ = clusters_.busy();
     if (trace_)
         traceSlotStages();
     classifyIdle();
+    updateWake();
+}
+
+bool
+StreamController::kernelInFlight() const
+{
+    if (clusters_.busy())
+        return true;
+    for (const Slot &s : slots_) {
+        if ((s.state == SlotState::Issuing ||
+             s.state == SlotState::Running) &&
+            (s.instr->kind == StreamOpKind::KernelExec ||
+             s.instr->kind == StreamOpKind::Restart))
+            return true;
+    }
+    return false;
+}
+
+int
+StreamController::freeAg() const
+{
+    for (int i = 0; i < cfg_.numAddressGenerators; ++i)
+        if (mem_.agIdle(i) && i != ucodeLoadAg_ && i != reservedAg_)
+            return i;
+    return -1;
+}
+
+void
+StreamController::issueScan(Cycle now)
+{
+    // Oldest eligible slot first; the scan stops at the first issue.
+    const bool kernelBusy = kernelInFlight();
+    for (Slot &s : slots_) {
+        if (s.state != SlotState::Waiting &&
+            s.state != SlotState::NeedUcode) {
+            continue;
+        }
+        if (!s.ready)
+            continue;
+        switch (s.instr->kind) {
+          case StreamOpKind::KernelExec:
+          case StreamOpKind::Restart: {
+            if (kernelBusy)
+                continue;
+            if (!ucodeResident(s.instr->kernelId)) {
+                s.state = SlotState::NeedUcode;
+                startUcodeLoad(s.instr->kernelId, now);
+                continue;
+            }
+            s.state = SlotState::Waiting;
+            tryIssue(s, now);
+            break;
+          }
+          case StreamOpKind::MemLoad:
+          case StreamOpKind::MemStore: {
+            int ag = freeAg();
+            // Reserve an AG for a pending microcode load.
+            if (ag < 0)
+                continue;
+            s.ag = ag;
+            reservedAg_ = ag;   // held until dispatch
+            tryIssue(s, now);
+            break;
+          }
+          default:
+            tryIssue(s, now);
+            break;
+        }
+        if (issueBusy_)
+            break;
+    }
+}
+
+void
+StreamController::updateWake()
+{
+    // What the Waiting/NeedUcode slots contribute to nextEventAfter():
+    // a function of SC state, the clusters' busy flag and AG idleness
+    // only, so it holds until the next event.
+    wakeNext_ = wakeIssue_ = false;
+    const bool kernelBusy = kernelInFlight();
+    const bool agFree = freeAg() >= 0;
+
+    for (const Slot &s : slots_) {
+        if ((s.state != SlotState::Waiting &&
+             s.state != SlotState::NeedUcode) ||
+            !s.ready)
+            continue;   // a completion event precedes any issue
+        StreamOpKind k = s.instr->kind;
+        if (k == StreamOpKind::KernelExec || k == StreamOpKind::Restart) {
+            if (kernelBusy)
+                continue;   // the owner's completion event covers this
+            if (!ucodeResident(s.instr->kernelId)) {
+                // Waiting -> NeedUcode flip, or a load that can start;
+                // otherwise a load finish / AG release covers this.
+                if (s.state == SlotState::Waiting ||
+                    (ucodeLoadAg_ < 0 && agFree))
+                    wakeNext_ = true;
+                continue;
+            }
+        } else if (isMemOp(k) && !agFree) {
+            continue;   // an AG frees only via a completion event
+        }
+        wakeIssue_ = true;
+    }
 }
 
 void
@@ -563,7 +671,7 @@ StreamController::traceSlotStages()
         const char *stage;
         switch (s.state) {
           case SlotState::Waiting:
-            stage = depsSatisfied(s) ? "res" : "dep";
+            stage = s.ready ? "res" : "dep";
             break;
           case SlotState::NeedUcode: stage = "ucode"; break;
           case SlotState::Issuing: stage = "issue"; break;
@@ -584,76 +692,15 @@ StreamController::traceSlotStages()
 Cycle
 StreamController::nextEventAfter(Cycle now) const
 {
-    // A finished microcode load is processed on the next tick.
-    if (ucodeLoadAg_ >= 0 && mem_.agDone(ucodeLoadAg_))
+    // An unprocessed event (enqueue, host retire, restore), a finished
+    // microcode load or a signalled completion is handled next tick.
+    if (eventPending_ || completionDue(now + 1) || wakeNext_)
         return now + 1;
-
-    Cycle h = kForever;
-    bool kernelInFlight = clusters_.busy();
-    for (const Slot &s : slots_) {
-        if (!s.instr)
-            continue;
-        if ((s.state == SlotState::Issuing ||
-             s.state == SlotState::Running) &&
-            (s.instr->kind == StreamOpKind::KernelExec ||
-             s.instr->kind == StreamOpKind::Restart))
-            kernelInFlight = true;
-    }
-
-    auto freeAg = [&]() {
-        for (int i = 0; i < cfg_.numAddressGenerators; ++i)
-            if (mem_.agIdle(i) && i != ucodeLoadAg_ && i != reservedAg_)
-                return true;
-        return false;
-    };
-
-    for (const Slot &s : slots_) {
-        if (!s.instr)
-            continue;
-        switch (s.state) {
-          case SlotState::Issuing:
-            h = std::min(h, std::max(now + 1, s.issueDone));
-            break;
-          case SlotState::Running:
-            // Resource progress is the resource's event; only the
-            // already-signalled completion is ours to process.
-            if (isMemOp(s.instr->kind)) {
-                if (mem_.agDone(s.ag))
-                    return now + 1;
-            } else if (clusters_.done()) {
-                return now + 1;
-            }
-            break;
-          case SlotState::Stuck:
-            break;  // lost completion: only the watchdog ends this
-          case SlotState::Waiting:
-          case SlotState::NeedUcode: {
-            if (!depsSatisfied(s))
-                break;  // some completion event precedes any issue
-            StreamOpKind k = s.instr->kind;
-            if (k == StreamOpKind::KernelExec ||
-                k == StreamOpKind::Restart) {
-                if (kernelInFlight)
-                    break;  // the owner's completion event covers this
-                if (!ucodeResident(s.instr->kernelId)) {
-                    if (s.state == SlotState::Waiting)
-                        return now + 1; // Waiting -> NeedUcode flip
-                    if (ucodeLoadAg_ < 0 && freeAg())
-                        return now + 1; // the load can start
-                    break;  // load finish / AG release covers this
-                }
-            } else if (isMemOp(k)) {
-                if (!freeAg())
-                    break;  // an AG frees only via a completion event
-            }
-            h = std::min(h, issueBusy_
-                                ? std::max(now + 1, issueBusyUntil_)
-                                : now + 1);
-            break;
-          }
-        }
-    }
-    return h;
+    // The issuing slot dispatches (and a ready slot can issue) when the
+    // pipeline frees.
+    if (issueBusy_)
+        return std::max(now + 1, issueBusyUntil_);
+    return wakeIssue_ ? now + 1 : kForever;
 }
 
 namespace
@@ -830,6 +877,12 @@ StreamController::loadState(ckpt::Deserializer &d)
     ucodeLoading_ = d.u16();
     ucodeRetries_ = d.i32();
     idleCause_ = static_cast<IdleCause>(d.u8());
+    // Derived state: re-derive readiness and treat the restore as an
+    // event, so the next tick rebuilds the scan, idle cause and wake.
+    for (Slot &sl : slots_)
+        sl.ready = depsSatisfied(sl);
+    compactPending_ = false;
+    eventPending_ = true;
 }
 
 void
@@ -865,7 +918,7 @@ StreamController::classifyIdle()
                     kernelBlockedOnMem = true;
                 }
             }
-            if (depsSatisfied(s))
+            if (s.ready)
                 kernelIssuing = true;   // eligible, waiting for pipeline
         }
     }

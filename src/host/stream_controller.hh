@@ -151,6 +151,9 @@ class StreamController : public Component
         /** Kernel output overlaps an input (in-place update): a faulted
          *  run has overwritten its own source, so no retry is possible. */
         bool inPlace = false;
+        /** Every compiler-encoded dependency has retired (cached;
+         *  refreshed by refreshReady() when an instruction retires). */
+        bool ready = false;
         // Kernel bookkeeping.
         std::vector<int> inClients, outClients;
         // Tracing: leased scoreboard-slot track + current stage name.
@@ -159,6 +162,23 @@ class StreamController : public Component
     };
 
     bool depsSatisfied(const Slot &s) const;
+    /** An instruction retired: re-derive the ready flag of every slot
+     *  still waiting on a dependency. */
+    void refreshReady();
+    /** True when some Issuing/Running slot has an event to process this
+     *  tick (dispatch due, AG done, kernel done). */
+    bool completionDue(Cycle now) const;
+    /** Dispatch and retire every due slot, oldest first. */
+    void processCompletions(Cycle now);
+    /** A kernel slot is issuing or running, or the clusters are busy. */
+    bool kernelInFlight() const;
+    /** First idle AG not held by a microcode load or an issuing mem
+     *  op, or -1. */
+    int freeAg() const;
+    /** Oldest-eligible issue scan (issue pipeline free). */
+    void issueScan(Cycle now);
+    /** Re-derive wakeNext_/wakeIssue_ from the current slot state. */
+    void updateWake();
     /**
      * A detected fault tainted this slot's result: re-issue it, or
      * throw an UnrecoveredFault SimError once the retry budget is
@@ -207,6 +227,17 @@ class StreamController : public Component
     int ucodeRetries_ = 0;              ///< corrupted-load re-transfers
 
     IdleCause idleCause_ = IdleCause::Host;
+
+    // Event-driven tick state (DESIGN.md section 8).  The issue scan,
+    // classifyIdle() and the Waiting-slot part of nextEventAfter() only
+    // change value after an SC-visible event, so they run once per event
+    // instead of once per cycle; all of this is derived state, rebuilt
+    // by loadState() and never serialized.
+    bool eventPending_ = true;      ///< event outside tick(): enqueue etc.
+    bool compactPending_ = false;   ///< a slot retired: compact slots_
+    bool clustersBusy_ = false;     ///< clusters_.busy() at the last event
+    bool wakeNext_ = false;         ///< a Waiting slot acts next cycle
+    bool wakeIssue_ = false;        ///< ... once the issue pipeline frees
 
     /** Re-open a slot's stage span when its lifecycle state moved. */
     void traceSlotStages();

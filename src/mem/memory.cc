@@ -242,10 +242,11 @@ MemorySystem::saveState(ckpt::Serializer &s) const
         s.u64(st.stallUntil);
     }
     s.u64(channels_.size());
-    for (const Channel &ch : channels_) {
+    for (size_t c = 0; c < channels_.size(); ++c) {
+        const Channel &ch = channels_[c];
         s.u64(ch.queue.size());
         for (const DramReq &rq : ch.queue) {
-            s.u64(rq.wordAddr);
+            s.u64(reqAddr(rq, c));
             s.u32(rq.elem);
             s.u8(rq.ag);
             s.b(rq.isWrite);
@@ -297,15 +298,22 @@ MemorySystem::loadState(ckpt::Deserializer &d)
         st.stallUntil = d.u64();
     }
     channels_.assign(d.u64(), Channel{});
-    for (Channel &ch : channels_) {
+    for (size_t c = 0; c < channels_.size(); ++c) {
+        Channel &ch = channels_[c];
         for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
-            DramReq rq;
-            rq.wordAddr = d.u64();
-            rq.elem = d.u32();
-            rq.ag = d.u8();
-            rq.isWrite = d.b();
-            rq.enqueuedMem = d.u64();
-            ch.queue.push_back(rq);
+            Addr addr = d.u64();
+            uint32_t elem = d.u32();
+            uint8_t ag = d.u8();
+            bool isWrite = d.b();
+            Cycle enq = d.u64();
+            if (!MemorySpace::inBounds(addr) ||
+                addr % channels_.size() != c)
+                throw SimError(SimErrorKind::Fatal,
+                               strfmt("checkpoint DRAM request for word "
+                                      "0x%llx is not on channel %zu",
+                                      static_cast<unsigned long long>(addr),
+                                      c));
+            ch.queue.push_back(makeReq(addr, elem, ag, isWrite, enq));
         }
         ch.banks.assign(d.u64(), Bank{});
         for (Bank &bk : ch.banks) {
@@ -377,9 +385,27 @@ MemorySystem::issueAccess(AgState &st, int agIdx, Addr addr, uint32_t elem,
         if (cacheTags_[slot] != static_cast<int64_t>(addr))
             cacheTags_[slot] = -1;
     }
-    Channel &ch = channels_[addr % channels_.size()];
-    ch.queue.push_back({addr, elem, static_cast<uint8_t>(agIdx),
-                        !st.isLoad, now / cfg_.memClockDivider});
+    channels_[addr % channels_.size()].queue.push_back(
+        makeReq(addr, elem, static_cast<uint8_t>(agIdx), !st.isLoad,
+                now / cfg_.memClockDivider));
+}
+
+MemorySystem::DramReq
+MemorySystem::makeReq(Addr wordAddr, uint32_t elem, uint8_t ag,
+                      bool isWrite, Cycle enqueuedMem) const
+{
+    // In bounds (< 2^26 words), so every decoded field fits 32 bits.
+    DramReq r;
+    r.perChan = static_cast<uint32_t>(wordAddr / channels_.size());
+    uint32_t bankRow = r.perChan / static_cast<uint32_t>(cfg_.rowWords);
+    uint32_t banks = static_cast<uint32_t>(cfg_.banksPerChannel);
+    r.bank = static_cast<uint16_t>(bankRow % banks);
+    r.row = bankRow / banks;
+    r.elem = elem;
+    r.ag = ag;
+    r.isWrite = isWrite;
+    r.enqueuedMem = enqueuedMem;
+    return r;
 }
 
 void
@@ -465,13 +491,9 @@ MemorySystem::tickChannels(uint64_t memCycle)
             size_t scan = std::min<size_t>(ch.queue.size(), 8);
             for (size_t i = 0; i < scan; ++i) {
                 const DramReq &r = ch.queue[i];
-                Addr perChan = r.wordAddr / channels_.size();
-                uint64_t bankRow = perChan / cfg_.rowWords;
-                size_t bank = bankRow % ch.banks.size();
-                int64_t row = static_cast<int64_t>(bankRow /
-                                                   ch.banks.size());
-                if (ch.banks[bank].openRow == row &&
-                    ch.banks[bank].nextFreeMem <= memCycle) {
+                const Bank &b = ch.banks[r.bank];
+                if (b.openRow == static_cast<int64_t>(r.row) &&
+                    b.nextFreeMem <= memCycle) {
                     pick = i;
                     break;
                 }
@@ -488,10 +510,11 @@ MemorySystem::tickChannels(uint64_t memCycle)
             ch.queue[i] = ch.queue[i - 1];
         ch.queue.pop_front();
 
-        Addr perChan = req.wordAddr / channels_.size();
-        uint64_t bankRow = perChan / cfg_.rowWords;
-        Bank &bank = ch.banks[bankRow % ch.banks.size()];
-        int64_t row = static_cast<int64_t>(bankRow / ch.banks.size());
+        const Addr perChan = req.perChan;
+        Bank &bank = ch.banks[req.bank];
+        const auto row = static_cast<int64_t>(req.row);
+        const size_t chIdx = static_cast<size_t>(&ch - channels_.data());
+        const Addr wordAddr = reqAddr(req, chIdx);
 
         uint64_t start = std::max(memCycle, bank.nextFreeMem);
         uint64_t cost;
@@ -526,7 +549,6 @@ MemorySystem::tickChannels(uint64_t memCycle)
         if (trace_) {
             // One access = one busy region in core cycles; contiguous
             // accesses coalesce (busNextFreeMem serializes the track).
-            size_t chIdx = static_cast<size_t>(&ch - channels_.data());
             uint64_t div = static_cast<uint64_t>(cfg_.memClockDivider);
             trace_->mergeSpan(chanTracks_[chIdx], start * div,
                               doneMem * div, "busy", cost);
@@ -535,11 +557,11 @@ MemorySystem::tickChannels(uint64_t memCycle)
         AgState &st = ags_[req.ag];
         Cycle readyCore = doneMem * cfg_.memClockDivider +
                           cfg_.mcPipelineCycles;
-        Word data = req.isWrite ? 0 : space_.readWord(req.wordAddr);
+        Word data = req.isWrite ? 0 : space_.readWord(wordAddr);
         // A flip on the way in over the SDRAM pins.  Microcode (sink)
         // transfers are handled by the UcodeLoad fault site instead.
         if (inj_ && !req.isWrite && !st.sink) {
-            FaultInjector::Flip f = inj_->onDramWord(req.wordAddr, data);
+            FaultInjector::Flip f = inj_->onDramWord(wordAddr, data);
             if (f.hit) {
                 data = f.word;
                 if (f.detected)

@@ -131,13 +131,22 @@ class MemorySystem : public Component
         bool operator>(const Delivery &o) const { return ready > o.ready; }
     };
 
+    /**
+     * One queued DRAM word access, decoded once at enqueue (makeReq) so
+     * the FR-FCFS scan does no division.  The word address is
+     * perChan * numChannels + the channel index, so it is not stored:
+     * a long store can queue many thousand requests, and this keeps
+     * each at 24 bytes.
+     */
     struct DramReq
     {
-        Addr wordAddr;
+        uint32_t perChan;   ///< channel-local word address
         uint32_t elem;
+        Cycle enqueuedMem;  ///< mem cycle for age-based priority
+        uint32_t row;       ///< row within the bank
+        uint16_t bank;
         uint8_t ag;
         bool isWrite;
-        Cycle enqueuedMem;  ///< mem cycle for age-based priority
     };
 
     struct Bank
@@ -182,6 +191,15 @@ class MemorySystem : public Component
     /** Issue one word access into the cache/DRAM path. */
     void issueAccess(AgState &st, int agIdx, Addr addr, uint32_t elem,
                      Cycle now);
+    /** Decode the request for in-bounds word address @p wordAddr. */
+    DramReq makeReq(Addr wordAddr, uint32_t elem, uint8_t ag, bool isWrite,
+                    Cycle enqueuedMem) const;
+    /** Word address of @p r, queued on channel @p ch. */
+    Addr
+    reqAddr(const DramReq &r, size_t ch) const
+    {
+        return Addr(r.perChan) * channels_.size() + ch;
+    }
     /** Advance all channels one memory cycle. */
     void tickChannels(uint64_t memCycle);
     /** Compute record base address for element; false if blocked. */

@@ -1,7 +1,5 @@
 #include "mem/memspace.hh"
 
-#include <algorithm>
-
 #include "ckpt/serializer.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
@@ -66,27 +64,32 @@ MemorySpace::readWords(Addr wordAddr, size_t count) const
 void
 MemorySpace::saveState(ckpt::Serializer &s) const
 {
-    std::vector<Addr> keys;
-    keys.reserve(pages_.size());
-    for (const auto &[idx, p] : pages_) {
-        (void)p;
-        keys.push_back(idx);
-    }
-    std::sort(keys.begin(), keys.end());
-    s.u64(keys.size());
-    for (Addr idx : keys) {
+    uint64_t allocated = 0;
+    for (const Page &p : pages_)
+        allocated += p.empty() ? 0 : 1;
+    s.u64(allocated);
+    for (size_t idx = 0; idx < numPages; ++idx) {
+        if (pages_[idx].empty())
+            continue;
         s.u64(idx);
-        s.vec(pages_.at(idx));
+        s.vec(pages_[idx]);
     }
 }
 
 void
 MemorySpace::loadState(ckpt::Deserializer &d)
 {
-    pages_.clear();
+    pages_.assign(numPages, Page{});
     for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
         Addr idx = d.u64();
-        pages_[idx] = d.vec<Word>();
+        Page p = d.vec<Word>();
+        if (idx >= numPages || p.size() != pageWords)
+            throw SimError(SimErrorKind::Fatal,
+                           strfmt("checkpoint memory page %llu: bad index "
+                                  "or size (%zu words)",
+                                  static_cast<unsigned long long>(idx),
+                                  p.size()));
+        pages_[idx] = std::move(p);
     }
 }
 

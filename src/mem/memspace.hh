@@ -1,15 +1,14 @@
 /**
  * @file
  * Functional backing store for the off-chip Imagine memory space
- * (256 MB of SDRAM on the development board).  Pages are allocated
- * lazily so sparse address use stays cheap.
+ * (256 MB of SDRAM on the development board).  A fixed table of 1024
+ * page slots covers the whole space; pages are allocated lazily so
+ * sparse address use stays cheap.
  */
 
 #ifndef IMAGINE_MEM_MEMSPACE_HH
 #define IMAGINE_MEM_MEMSPACE_HH
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -41,8 +40,7 @@ class MemorySpace
     std::vector<Word> readWords(Addr wordAddr, size_t count) const;
 
     /**
-     * Checkpoint every allocated page, sorted by page index so the
-     * byte image is independent of hash-map iteration order.  Restore
+     * Checkpoint every allocated page in page-index order.  Restore
      * replaces the full page set.
      */
     void saveState(ckpt::Serializer &s) const;
@@ -50,11 +48,14 @@ class MemorySpace
 
   private:
     static constexpr Addr pageWords = 1 << 16;
+    static constexpr size_t numPages = sizeWords / pageWords;
 
     /** Raise a MemoryBounds SimError for an out-of-range access. */
     [[noreturn]] static void outOfBounds(const char *what, Addr wordAddr);
     using Page = std::vector<Word>;
-    mutable std::unordered_map<Addr, Page> pages_;
+    /** Indexed by page number; empty = not yet touched.  Any access,
+     *  read or write, allocates (and so checkpoints) the page. */
+    mutable std::vector<Page> pages_ = std::vector<Page>(numPages);
 
     Page &page(Addr wordAddr) const;
 };

@@ -454,10 +454,13 @@ Server::execute(const std::shared_ptr<Job> &job)
             ImagineSystem sys(job->req.config);
             sys.setAbortToken(&job->abort);
             apps::AppResult r = runWorkload(sys, job->req);
-            response = makeRunResponse(
-                job->id, job->req.tenant, job->req.workload,
-                r.validated, queueMs,
-                msBetween(runStart, Clock::now()), r.run.toJson());
+            // Serialize before reading the clock: run time always
+            // includes toJson(), whatever order arguments evaluate in.
+            std::string result = r.run.toJson();
+            double runMs = msBetween(runStart, Clock::now());
+            response = makeRunResponse(job->id, job->req.tenant,
+                                       job->req.workload, r.validated,
+                                       queueMs, runMs, result);
             succeeded = true;
         } catch (const ProtocolError &e) {
             response =

@@ -69,7 +69,7 @@ Srf::updateMovable(Client &c)
     else if (c.isIn)
         m = c.fetched < c.length && c.fetched < c.base + c.windowWords;
     else
-        m = c.base < c.produced && c.window[c.base % c.windowWords];
+        m = c.base < c.produced && c.window[c.baseSlot];
     if (m != c.movable) {
         c.movable = m;
         movableCount_ += m ? 1 : -1;
@@ -142,14 +142,12 @@ Srf::inConsume(int client, uint32_t elem)
     IMAGINE_ASSERT(elem >= c.base && elem < c.fetched,
                    "SRF consume of element %u outside window [%u, %u)",
                    elem, c.base, c.fetched);
-    IMAGINE_ASSERT(!c.window[elem % c.windowWords],
-                   "SRF element %u consumed twice", elem);
+    uint32_t slot = slotOf(c, elem);
+    IMAGINE_ASSERT(!c.window[slot], "SRF element %u consumed twice", elem);
     Word w = data_[c.offset + elem];
-    c.window[elem % c.windowWords] = 1;
-    while (c.base < c.fetched && c.window[c.base % c.windowWords]) {
-        c.window[c.base % c.windowWords] = 0;
-        ++c.base;
-    }
+    c.window[slot] = 1;
+    while (c.base < c.fetched && c.window[c.baseSlot])
+        popBase(c);
     updateMovable(c);   // base advanced: window space may have opened
     return w;
 }
@@ -163,21 +161,26 @@ Srf::inConsumeRow(int client, uint32_t first, uint32_t stride, Word *dst)
     IMAGINE_ASSERT(first >= c.base && last < c.fetched,
                    "SRF consume of row [%u, %u] outside window [%u, %u)",
                    first, last, c.base, c.fetched);
+    // The row spans less than the window (last < fetched <= base +
+    // window), so stepping the ring slot by stride wraps at most once
+    // per lane.
     const Word *src = &data_[c.offset];
+    uint32_t slot = slotOf(c, first);
     for (int l = 0; l < numClusters; ++l) {
         uint32_t elem = first + static_cast<uint32_t>(l) * stride;
-        IMAGINE_ASSERT(!c.window[elem % c.windowWords],
-                       "SRF element %u consumed twice", elem);
+        IMAGINE_ASSERT(!c.window[slot], "SRF element %u consumed twice",
+                       elem);
         dst[l] = src[elem];
-        c.window[elem % c.windowWords] = 1;
+        c.window[slot] = 1;
+        slot += stride;
+        if (slot >= c.windowWords)
+            slot -= c.windowWords;
     }
     // One base-advance sweep: the eight marks commute, so the final
     // base (and therefore the arbiter-visible window space) matches
     // eight sequential consumes exactly.
-    while (c.base < c.fetched && c.window[c.base % c.windowWords]) {
-        c.window[c.base % c.windowWords] = 0;
-        ++c.base;
-    }
+    while (c.base < c.fetched && c.window[c.baseSlot])
+        popBase(c);
     updateMovable(c);
 }
 
@@ -196,8 +199,8 @@ Srf::outProduce(int client, uint32_t elem, Word w)
     IMAGINE_ASSERT(outCanAccept(client, elem),
                    "SRF produce of element %u outside window at base %u",
                    elem, c.base);
-    IMAGINE_ASSERT(!c.window[elem % c.windowWords],
-                   "SRF element %u produced twice", elem);
+    uint32_t slot = slotOf(c, elem);
+    IMAGINE_ASSERT(!c.window[slot], "SRF element %u produced twice", elem);
     IMAGINE_ASSERT(c.offset + elem < size_,
                    "stream overflow: element %u of stream at %u", elem,
                    c.offset);
@@ -210,7 +213,7 @@ Srf::outProduce(int client, uint32_t elem, Word w)
         }
     }
     data_[c.offset + elem] = w;
-    c.window[elem % c.windowWords] = 1;
+    c.window[slot] = 1;
     c.produced = std::max(c.produced, elem + 1);
     updateMovable(c);   // the word at base may now be drainable
 }
@@ -229,10 +232,11 @@ Srf::outProduceRow(int client, uint32_t first, uint32_t stride,
                    "stream overflow: element %u of stream at %u", last,
                    c.offset);
     Word *arr = &data_[c.offset];
+    uint32_t slot = slotOf(c, first);
     for (int l = 0; l < numClusters; ++l) {
         uint32_t elem = first + static_cast<uint32_t>(l) * stride;
-        IMAGINE_ASSERT(!c.window[elem % c.windowWords],
-                       "SRF element %u produced twice", elem);
+        IMAGINE_ASSERT(!c.window[slot], "SRF element %u produced twice",
+                       elem);
         Word w = vals[l];
         if (inj_) {
             FaultInjector::Flip f = inj_->onSrfWrite(c.offset + elem, w);
@@ -243,7 +247,10 @@ Srf::outProduceRow(int client, uint32_t first, uint32_t stride,
             }
         }
         arr[elem] = w;
-        c.window[elem % c.windowWords] = 1;
+        c.window[slot] = 1;
+        slot += stride;
+        if (slot >= c.windowWords)
+            slot -= c.windowWords;
     }
     c.produced = std::max(c.produced, last + 1);
     updateMovable(c);
@@ -276,15 +283,14 @@ Srf::warpInRow(int client, uint32_t first, uint32_t stride, Word *dst)
     const Word *src = &data_[c.offset];
     for (int l = 0; l < numClusters; ++l) {
         uint32_t elem = first + static_cast<uint32_t>(l) * stride;
-        IMAGINE_ASSERT(!c.window[elem % c.windowWords],
-                       "SRF element %u consumed twice", elem);
+        uint32_t slot = slotOf(c, elem);
+        IMAGINE_ASSERT(!c.window[slot], "SRF element %u consumed twice",
+                       elem);
         dst[l] = src[elem];
-        c.window[elem % c.windowWords] = 1;
+        c.window[slot] = 1;
     }
-    while (c.base < c.fetched && c.window[c.base % c.windowWords]) {
-        c.window[c.base % c.windowWords] = 0;
-        ++c.base;
-    }
+    while (c.base < c.fetched && c.window[c.baseSlot])
+        popBase(c);
     updateMovable(c);
 }
 
@@ -303,9 +309,8 @@ Srf::warpOutRow(int client, uint32_t first, uint32_t stride,
     // measurement stratum.
     uint32_t drained = 0;
     while (c.base + c.windowWords <= last && c.base < c.produced &&
-           c.window[c.base % c.windowWords]) {
-        c.window[c.base % c.windowWords] = 0;
-        ++c.base;
+           c.window[c.baseSlot]) {
+        popBase(c);
         ++drained;
     }
     IMAGINE_ASSERT(first >= c.base && last < c.base + c.windowWords,
@@ -318,10 +323,11 @@ Srf::warpOutRow(int client, uint32_t first, uint32_t stride,
     Word *arr = &data_[c.offset];
     for (int l = 0; l < numClusters; ++l) {
         uint32_t elem = first + static_cast<uint32_t>(l) * stride;
-        IMAGINE_ASSERT(!c.window[elem % c.windowWords],
-                       "SRF element %u produced twice", elem);
+        uint32_t slot = slotOf(c, elem);
+        IMAGINE_ASSERT(!c.window[slot], "SRF element %u produced twice",
+                       elem);
         arr[elem] = vals[l];
-        c.window[elem % c.windowWords] = 1;
+        c.window[slot] = 1;
     }
     c.produced = std::max(c.produced, last + 1);
     stats_.wordsTransferred += drained;
@@ -376,7 +382,7 @@ Srf::warpInBulk(int client, uint32_t rec, const WarpRange *ops, size_t n)
         }
     }
     IMAGINE_ASSERT(base2 >= c.base, "bulk consume behind base %u", c.base);
-    c.base = base2;
+    setBase(c, base2);
     // Each ring slot holds the flag of its unique word in
     // [base, base + windowWords); set = consumed but not yet swept.
     for (uint32_t k = 0; k < c.windowWords; ++k) {
@@ -442,7 +448,7 @@ Srf::warpOutBulk(int client, uint32_t rec, const WarpRange *ops, size_t n,
     if (produced2 > c.windowWords)
         base2 = std::max(base2, produced2 - c.windowWords);
     stats_.wordsTransferred += base2 - c.base;
-    c.base = base2;
+    setBase(c, base2);
     c.produced = std::max(c.produced, produced2);
     // Ring slots: set = produced but not yet drained.
     for (uint32_t k = 0; k < c.windowWords; ++k) {
@@ -488,10 +494,8 @@ Srf::warpOutSettle(int client, uint32_t backlogWords)
     Client &c = at(client);
     IMAGINE_ASSERT(!c.isIn, "warpOutSettle on input client");
     uint32_t drained = 0;
-    while (c.base + backlogWords < c.produced &&
-           c.window[c.base % c.windowWords]) {
-        c.window[c.base % c.windowWords] = 0;
-        ++c.base;
+    while (c.base + backlogWords < c.produced && c.window[c.baseSlot]) {
+        popBase(c);
         ++drained;
     }
     stats_.wordsTransferred += drained;
@@ -510,10 +514,15 @@ Srf::tick()
 {
     if (clients_.empty())
         return;
+    const size_t n = clients_.size();
+    auto stepCursor = [this, n] {
+        if (++rrNext_ == n)
+            rrNext_ = 0;
+    };
     if (movableCount_ == 0) {
         // Nothing the arbiter could move: same observable effects as a
         // full scan that found no work (cursor advances, zero words).
-        rrNext_ = (rrNext_ + 1) % clients_.size();
+        stepCursor();
         return;
     }
     int tokens = cfg_.srfBandwidthWordsPerCycle;
@@ -534,24 +543,33 @@ Srf::tick()
     grantCap_.clear();
     grantCnt_.clear();
     uint32_t tok32 = static_cast<uint32_t>(tokens);
-    for (size_t k = 0; k < clients_.size(); ++k) {
-        size_t idx = (rrNext_ + k) % clients_.size();
+    // Cursor-ordered walk, stopping once every movable client is found.
+    const size_t movable = static_cast<size_t>(movableCount_);
+    for (size_t k = 0, idx = rrNext_; k < n && grantIdx_.size() < movable;
+         ++k) {
         const Client &c = clients_[idx];
-        if (!c.movable)
-            continue;
-        uint32_t cap;
-        if (c.isIn) {
-            cap = std::min(c.length, c.base + c.windowWords) - c.fetched;
-        } else {
-            // Scan bounded by the tokens this tick could spend.
-            cap = 0;
-            while (cap < tok32 && c.base + cap < c.produced &&
-                   c.window[(c.base + cap) % c.windowWords])
-                ++cap;
+        if (c.movable) {
+            uint32_t cap;
+            if (c.isIn) {
+                cap = std::min(c.length, c.base + c.windowWords) -
+                      c.fetched;
+            } else {
+                // Scan bounded by the tokens this tick could spend.
+                cap = 0;
+                uint32_t slot = c.baseSlot;
+                while (cap < tok32 && c.base + cap < c.produced &&
+                       c.window[slot]) {
+                    ++cap;
+                    if (++slot == c.windowWords)
+                        slot = 0;
+                }
+            }
+            grantIdx_.push_back(static_cast<uint32_t>(idx));
+            grantCap_.push_back(std::min(cap, tok32));
+            grantCnt_.push_back(0);
         }
-        grantIdx_.push_back(static_cast<uint32_t>(idx));
-        grantCap_.push_back(std::min(cap, tok32));
-        grantCnt_.push_back(0);
+        if (++idx == n)
+            idx = 0;
     }
     bool progress = true;
     while (tokens > 0 && progress) {
@@ -576,12 +594,11 @@ Srf::tick()
             c.fetched += g;
         } else {
             for (uint32_t r = 0; r < g; ++r)
-                c.window[(c.base + r) % c.windowWords] = 0;
-            c.base += g;
+                popBase(c);
         }
         updateMovable(c);
     }
-    rrNext_ = (rrNext_ + 1) % clients_.size();
+    stepCursor();
     uint64_t moved =
         static_cast<uint64_t>(cfg_.srfBandwidthWordsPerCycle - tokens);
     stats_.wordsTransferred += moved;
@@ -659,6 +676,7 @@ Srf::loadState(ckpt::Deserializer &d)
         c.windowWords = d.u32();
         c.faulted = d.b();
         c.movable = d.b();
+        c.baseSlot = c.windowWords ? c.base % c.windowWords : 0;
     }
     movableCount_ = d.i32();
     rrNext_ = d.u64();

@@ -242,6 +242,9 @@ class Srf : public Component
          *  (byte flags beat std::vector<bool> bit ops on this path). */
         std::vector<uint8_t> window;
         uint32_t windowWords = 0;
+        /** base % windowWords, stepped with base so no per-word path
+         *  divides (derived: loadState() re-derives it). */
+        uint32_t baseSlot = 0;
         bool faulted = false;       ///< detected fault in written data
         /**
          * Cached arbiter eligibility: the client has both demand and
@@ -256,6 +259,29 @@ class Srf : public Component
     const Client &at(int client) const;
     /** Recompute @p c's movable flag and the movable-client count. */
     void updateMovable(Client &c);
+    /** Ring slot of word @p elem, which lies in [base, base + window). */
+    static uint32_t
+    slotOf(const Client &c, uint32_t elem)
+    {
+        uint32_t s = c.baseSlot + (elem - c.base);
+        return s >= c.windowWords ? s - c.windowWords : s;
+    }
+    /** Retire the word at base: clear its slot and step base. */
+    static void
+    popBase(Client &c)
+    {
+        c.window[c.baseSlot] = 0;
+        ++c.base;
+        if (++c.baseSlot == c.windowWords)
+            c.baseSlot = 0;
+    }
+    /** Set base after a bulk jump (fold paths). */
+    static void
+    setBase(Client &c, uint32_t base)
+    {
+        c.base = base;
+        c.baseSlot = base % c.windowWords;
+    }
 
     const MachineConfig &cfg_;
     FaultInjector *inj_ = nullptr;

@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the stream register file: client windows, bandwidth
- * arbitration and functional storage.
+ * arbitration and functional storage, plus the row transfers and the
+ * block-granting arbiter checked against per-word references.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "ckpt/serializer.hh"
 #include "sim/config.hh"
 #include "srf/srf.hh"
 
@@ -169,4 +173,266 @@ TEST_F(SrfTest, ArbitrationIsFair)
                 cfg.srfBandwidthWordsPerCycle);
     srf.close(a);
     srf.close(b);
+}
+
+// ---------------------------------------------------------------------
+// Row transfers and the arbiter against per-word references
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The SRF's checkpoint bytes: every architecturally visible field. */
+std::vector<uint8_t>
+image(const Srf &s)
+{
+    ckpt::Serializer ser;
+    ser.section("srf");
+    s.saveState(ser);
+    return ser.finish();
+}
+
+/**
+ * Row strides 1, W-1, W, W+1 and 2W+5 for a base W that is not a power
+ * of two.  A row spans seven strides and must fit in the client's
+ * window, so each client gets a window of 8 * stride + W words - never
+ * a power of two either, so ring wraps land mid-row.
+ */
+std::vector<uint32_t>
+rowStrides(uint32_t w)
+{
+    return {1, w - 1, w, w + 1, 2 * w + 5};
+}
+
+/** Deterministic LCG for the arbiter workload. */
+struct Lcg
+{
+    uint64_t x;
+    uint32_t
+    below(uint32_t n)
+    {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<uint32_t>((x >> 33) % n);
+    }
+};
+
+} // namespace
+
+TEST_F(SrfTest, InConsumeRowMatchesEightConsumes)
+{
+    MachineConfig mc;
+    mc.streamBufferWords = 1;      // window = minWindow exactly
+    for (uint32_t w : {6u, 13u}) {
+        for (uint32_t stride : rowStrides(w)) {
+            SCOPED_TRACE(testing::Message()
+                         << "W=" << w << " stride=" << stride);
+            Srf a(mc), b(mc);
+            const uint32_t block = numClusters * stride;
+            const uint32_t len = 5 * block;
+            for (uint32_t i = 0; i < len; ++i) {
+                a.write(7 + i, i * 2654435761u);
+                b.write(7 + i, i * 2654435761u);
+            }
+            int ca = a.openIn({7, len}, block + w);
+            int cb = b.openIn({7, len}, block + w);
+            for (uint32_t blk = 0; blk < 5; ++blk) {
+                for (uint32_t k = 0; k < stride; ++k) {
+                    // Odd blocks consume their rows last-first, so the
+                    // base holds back until the block's first row.
+                    uint32_t j = blk % 2 ? stride - 1 - k : k;
+                    uint32_t first = blk * block + j;
+                    uint32_t last = first + (numClusters - 1) * stride;
+                    while (!a.inReady(ca, last)) {
+                        a.tick();
+                        b.tick();
+                    }
+                    ASSERT_TRUE(b.inReady(cb, last));
+                    Word row[numClusters];
+                    a.inConsumeRow(ca, first, stride, row);
+                    for (int l = 0; l < numClusters; ++l) {
+                        uint32_t e = first + static_cast<uint32_t>(l) *
+                                                 stride;
+                        ASSERT_EQ(row[l], b.inConsume(cb, e)) << e;
+                    }
+                    ASSERT_EQ(image(a), image(b)) << "row at " << first;
+                }
+            }
+            a.close(ca);
+            b.close(cb);
+            EXPECT_EQ(image(a), image(b));
+        }
+    }
+}
+
+TEST_F(SrfTest, OutProduceRowMatchesEightProduces)
+{
+    MachineConfig mc;
+    mc.streamBufferWords = 1;
+    for (uint32_t w : {6u, 13u}) {
+        for (uint32_t stride : rowStrides(w)) {
+            SCOPED_TRACE(testing::Message()
+                         << "W=" << w << " stride=" << stride);
+            Srf a(mc), b(mc);
+            const uint32_t block = numClusters * stride;
+            const uint32_t len = 5 * block;
+            int ca = a.openOut({3, len}, block + w);
+            int cb = b.openOut({3, len}, block + w);
+            for (uint32_t blk = 0; blk < 5; ++blk) {
+                for (uint32_t k = 0; k < stride; ++k) {
+                    uint32_t j = blk % 2 ? stride - 1 - k : k;
+                    uint32_t first = blk * block + j;
+                    uint32_t last = first + (numClusters - 1) * stride;
+                    while (!a.outCanAccept(ca, last)) {
+                        a.tick();
+                        b.tick();
+                    }
+                    ASSERT_TRUE(b.outCanAccept(cb, last));
+                    Word row[numClusters];
+                    for (int l = 0; l < numClusters; ++l)
+                        row[l] = first * 31 + static_cast<Word>(l);
+                    a.outProduceRow(ca, first, stride, row);
+                    for (int l = 0; l < numClusters; ++l)
+                        b.outProduce(cb,
+                                     first + static_cast<uint32_t>(l) *
+                                                 stride,
+                                     row[l]);
+                    ASSERT_EQ(image(a), image(b)) << "row at " << first;
+                }
+            }
+            while (!a.outDrained(ca)) {
+                a.tick();
+                b.tick();
+            }
+            EXPECT_TRUE(b.outDrained(cb));
+            EXPECT_EQ(a.close(ca), b.close(cb));
+            EXPECT_EQ(image(a), image(b));
+        }
+    }
+}
+
+TEST_F(SrfTest, ArbiterGrantsMatchPerWordReference)
+{
+    MachineConfig mc;
+    mc.streamBufferWords = 2;      // base window 16: minWindow decides
+    Srf arb(mc);
+
+    // The test's own model of every client slot, ticked by a literal
+    // one-word-per-pass round-robin loop.
+    struct Model
+    {
+        bool active = false;
+        bool isIn = false;
+        uint32_t length = 0, window = 0, base = 0, fetched = 0;
+        uint32_t produced = 0;          ///< out: next word to produce
+        std::vector<uint8_t> present;   ///< out: produced, not drained
+    };
+    std::vector<Model> model;
+    auto open = [&](bool isIn, uint32_t offset, uint32_t len,
+                    uint32_t window) {
+        Sdr sdr{offset, len};
+        int h = isIn ? arb.openIn(sdr, window) : arb.openOut(sdr, window);
+        if (static_cast<size_t>(h) >= model.size())
+            model.resize(static_cast<size_t>(h) + 1);
+        Model &m = model[static_cast<size_t>(h)];
+        m = Model{};
+        m.active = true;
+        m.isIn = isIn;
+        m.length = len;
+        m.window = window;
+        m.present.assign(len, 0);
+        return h;
+    };
+    auto movable = [](const Model &m) {
+        if (!m.active)
+            return false;
+        if (m.isIn)
+            return m.fetched < m.length && m.fetched < m.base + m.window;
+        return m.base < m.produced && m.present[m.base] != 0;
+    };
+
+    // Six slots, windows that are not powers of two; closing two leaves
+    // inactive slots inside the arbiter's array.
+    open(true, 0, 3000, 21);
+    int gone1 = open(false, 4000, 3000, 37);
+    open(true, 8000, 3000, 45);
+    open(false, 12000, 3000, 19);
+    int gone4 = open(true, 16000, 3000, 27);
+    open(false, 20000, 3000, 53);
+    arb.close(gone1);
+    model[static_cast<size_t>(gone1)].active = false;
+    arb.close(gone4);
+    model[static_cast<size_t>(gone4)].active = false;
+
+    Lcg rng{42};
+    size_t cursor = 0;
+    uint64_t moved = 0;
+    for (int t = 0; t < 600; ++t) {
+        if (t == 300) {     // reuses the first free slot
+            ASSERT_EQ(open(true, 24000, 3000, 29), gone1);
+        }
+        // Consumers and producers act between ticks.
+        for (size_t h = 0; h < model.size(); ++h) {
+            Model &m = model[h];
+            int c = static_cast<int>(h);
+            if (!m.active)
+                continue;
+            if (m.isIn) {
+                uint32_t k = rng.below(m.fetched - m.base + 1);
+                for (uint32_t i = 0; i < k; ++i)
+                    arb.inConsume(c, m.base++);
+            } else {
+                uint32_t room = std::min(m.length, m.base + m.window) -
+                                m.produced;
+                uint32_t k = rng.below(room + 1);
+                for (uint32_t i = 0; i < k; ++i) {
+                    arb.outProduce(c, m.produced, m.produced);
+                    m.present[m.produced++] = 1;
+                }
+            }
+        }
+        arb.tick();
+        // Reference arbiter: one word per movable client per pass, in
+        // cursor order, until the bandwidth is spent.
+        int tokens = mc.srfBandwidthWordsPerCycle;
+        bool progress = true;
+        while (tokens > 0 && progress) {
+            progress = false;
+            for (size_t k = 0; k < model.size() && tokens > 0; ++k) {
+                Model &m = model[(cursor + k) % model.size()];
+                if (!movable(m))
+                    continue;
+                if (m.isIn) {
+                    ++m.fetched;
+                } else {
+                    m.present[m.base] = 0;
+                    ++m.base;
+                }
+                --tokens;
+                ++moved;
+                progress = true;
+            }
+        }
+        cursor = (cursor + 1) % model.size();
+
+        ASSERT_EQ(arb.stats().wordsTransferred, moved) << "tick " << t;
+        for (size_t h = 0; h < model.size(); ++h) {
+            const Model &m = model[h];
+            int c = static_cast<int>(h);
+            if (!m.active)
+                continue;
+            if (m.isIn) {
+                ASSERT_TRUE(m.fetched == 0 ||
+                            arb.inReady(c, m.fetched - 1))
+                    << "tick " << t << " client " << h;
+                ASSERT_FALSE(arb.inReady(c, m.fetched))
+                    << "tick " << t << " client " << h;
+            } else {
+                ASSERT_TRUE(arb.outCanAccept(c, m.base + m.window - 1))
+                    << "tick " << t << " client " << h;
+                ASSERT_FALSE(arb.outCanAccept(c, m.base + m.window))
+                    << "tick " << t << " client " << h;
+            }
+        }
+    }
+    EXPECT_GT(moved, 1000u);
 }
