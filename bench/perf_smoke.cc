@@ -1,12 +1,11 @@
 /**
  * @file
  * Simulator-throughput smoke bench: runs the four applications across
- * the engine's two A/B axes and reports simulated cycles per
- * wall-clock second for each mode, plus the speedups:
+ * the engine's A/B axes and reports simulated cycles per wall-clock
+ * second for each mode, plus the speedups:
  *
  *  - predecode on vs off (the pre-decoded micro-op engine +
  *    SRF block transfers, DESIGN.md section 9) - the headline;
- *  - event-horizon fast-forward on vs off (DESIGN.md section 8);
  *  - tracing on vs off (DESIGN.md section 10) - an overhead axis:
  *    the speedup is expected to sit below 1.0 and quantifies what a
  *    traced run costs;
@@ -23,8 +22,8 @@
  * writes BENCH_throughput.json (or the given path) with one entry per
  * app per axis, plus the host context (cores, compiler, build type)
  * the numbers were taken on.  Simulated cycle counts must be identical
- * in every mode - both knobs are engine optimizations, not model
- * changes - and the bench fails (exit 1) if they ever differ.
+ * across the predecode and trace arms - neither knob changes the
+ * model - and the bench fails (exit 1) if they ever differ.
  */
 
 #include <cmath>
@@ -49,11 +48,9 @@ struct Timed
 };
 
 Timed
-runApp(const char *name, bool eventDriven, bool predecode,
-       bool traceOn = false)
+runApp(const char *name, bool predecode, bool traceOn = false)
 {
     MachineConfig mc = MachineConfig::devBoard();
-    mc.eventDriven = eventDriven;
     mc.predecode = predecode;
     mc.trace = traceOn;
     ImagineSystem sys(mc);
@@ -154,7 +151,6 @@ Timed
 runFidelityApp(int app, bool sampled)
 {
     MachineConfig mc = MachineConfig::devBoard();
-    mc.eventDriven = true;
     mc.predecode = true;
     mc.srfSizeWords = 4u * 1024 * 1024;    // room for the long streams
     mc.fidelity = sampled ? Fidelity::Sampled : Fidelity::Cycle;
@@ -245,25 +241,18 @@ main(int argc, char **argv)
     // Warm the process-wide kernel compile + lowering caches so no
     // timed mode pays first-compile cost.
     for (const char *name : {"depth", "mpeg", "qrd", "rtsl"})
-        runApp(name, true, true);
+        runApp(name, true);
 
-    std::printf("-- predecode on vs off (event-driven engine) --\n");
+    std::printf("-- predecode on vs off --\n");
     AxisResult pre = measureAxis(
         "PredecodeOn", "PredecodeOff",
-        [](const char *name, bool on) { return runApp(name, true, on); });
+        [](const char *name, bool on) { return runApp(name, on); });
     std::printf("predecode geomean speedup %.2fx\n\n", pre.geomean);
 
-    std::printf("-- event-horizon skip on vs off (predecode on) --\n");
-    AxisResult skip = measureAxis(
-        "SkipOn", "SkipOff",
-        [](const char *name, bool on) { return runApp(name, on, true); });
-    std::printf("skip geomean speedup %.2fx\n\n", skip.geomean);
-
-    std::printf("-- trace on vs off (all engine knobs on) --\n");
+    std::printf("-- trace on vs off (predecode on) --\n");
     AxisResult trc = measureAxis(
-        "TraceOn", "TraceOff", [](const char *name, bool on) {
-            return runApp(name, true, true, on);
-        });
+        "TraceOn", "TraceOff",
+        [](const char *name, bool on) { return runApp(name, true, on); });
     std::printf("trace geomean speedup %.2fx (overhead %.1f%%)\n\n",
                 trc.geomean,
                 trc.geomean > 0.0 ? 100.0 * (1.0 / trc.geomean - 1.0)
@@ -288,13 +277,12 @@ main(int argc, char **argv)
         "{\"host\":{\"hardwareThreads\":%u,\"compiler\":\"%s\","
         "\"buildType\":\"%s\",\"sampleLoopFraction\":%.17g},"
         "\"predecodeAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g},"
-        "\"skipAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g},"
         "\"traceAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g},"
         "\"fidelityAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g}}",
         std::thread::hardware_concurrency(), compiler,
         IMAGINE_BUILD_TYPE, MachineConfig::devBoard().sampleLoopFraction,
-        pre.json.c_str(), pre.geomean, skip.json.c_str(), skip.geomean,
-        trc.json.c_str(), trc.geomean, fid.json.c_str(), fid.geomean);
+        pre.json.c_str(), pre.geomean, trc.json.c_str(), trc.geomean,
+        fid.json.c_str(), fid.geomean);
 
     if (FILE *f = std::fopen(outPath, "w")) {
         std::fputs(json.c_str(), f);
@@ -304,5 +292,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "perf_smoke: cannot write %s\n", outPath);
         return 1;
     }
-    return pre.ok && skip.ok && trc.ok && fid.ok ? 0 : 1;
+    return pre.ok && trc.ok && fid.ok ? 0 : 1;
 }

@@ -3,7 +3,6 @@
  * Command-line flags shared by every example binary:
  *
  *   --json                  print the RunResult JSON instead of the report
- *   --no-skip               disable the event-horizon fast-forward
  *   --trace=FILE            cycle tracing + Perfetto trace_event output
  *   --seed=N                application input seed (and fault seed)
  *   --faults=MODE           fault injection: off|secded|parity|none
@@ -70,10 +69,6 @@ parseExampleFlag(const char *arg, MachineConfig &mc, ExampleFlags &fl)
     };
     if (std::strcmp(arg, "--json") == 0) {
         fl.json = true;
-        return true;
-    }
-    if (std::strcmp(arg, "--no-skip") == 0) {
-        mc.eventDriven = false;
         return true;
     }
     if (const char *v = val("--trace=")) {
@@ -194,8 +189,6 @@ verifyRemote(const ExampleFlags &fl, const MachineConfig &mc,
         default: return "none";
         }
     };
-    if (mc.eventDriven != base.eventDriven)
-        add(std::string("\"eventDriven\":") + onOff(mc.eventDriven));
     if (mc.trace != base.trace)
         add(std::string("\"trace\":") + onOff(mc.trace));
     if (mc.fidelity != base.fidelity)

@@ -7,10 +7,9 @@
  *   ./examples/stereo_depth [flags]
  *
  * With --json, prints the RunResult as JSON (schema in README.md)
- * instead of the human-readable report.  --no-skip disables the
- * event-horizon fast-forward (the A/B axis for bit-identity checks;
- * the JSON must not change).  --trace=FILE enables cycle tracing and
- * writes a Chrome/Perfetto trace_event file (open in ui.perfetto.dev).
+ * instead of the human-readable report.  --trace=FILE enables cycle
+ * tracing and writes a Chrome/Perfetto trace_event file (open in
+ * ui.perfetto.dev).
  * Remaining machine-level flags (--seed, --faults, --checkpoint,
  * --restore, ...) in example_flags.hh.
  */

@@ -50,8 +50,9 @@ namespace ckpt
 inline constexpr uint32_t kMagic = 0x4b434d49u;
 /** v2: the "run" section carries stat names so restore is name-matched
  *  (a trace-on session may restore a trace-off checkpoint and vice
- *  versa; see ImagineSystem::restoreCheckpoint). */
-inline constexpr uint32_t kVersion = 2;
+ *  versa; see ImagineSystem::restoreCheckpoint).  v3: the "run" and
+ *  "cluster" sections drop the event-horizon skip's engine state. */
+inline constexpr uint32_t kVersion = 3;
 
 /**
  * Pointer-resolution context threaded through save/load: components

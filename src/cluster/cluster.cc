@@ -1,7 +1,6 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "ckpt/serializer.hh"
 #include "kernelc/compile_cache.hh"
@@ -57,9 +56,6 @@ ClusterArray::ClusterArray(const MachineConfig &cfg, Srf &srf)
 {
     for (auto &row : scratchpad_)
         row.fill(0);
-    // Latched here (not in ImagineSystem) so rigs that drive the
-    // cluster array directly honor the escape hatch too.
-    noPredecodeEnv_ = std::getenv("IMAGINE_NO_PREDECODE") != nullptr;
 }
 
 uint32_t
@@ -117,7 +113,6 @@ ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
     ins_ = std::move(ins);
     outs_ = std::move(outs);
     restart_ = restart;
-    insResident_ = false;
 
     // Trip count from the first input stream (all must agree).
     if (k->graph.numInStreams > 0) {
@@ -210,42 +205,14 @@ ClusterArray::bindDerived()
     // (t < minTime + trip * ii), collectLoopOps keeps the whole bucket,
     // so tick() may execute the bucket verbatim.
     bucketHasStream_.assign(loopBuckets_.size(), 0);
-    bucketHasOut_.assign(loopBuckets_.size(), 0);
     for (size_t b = 0; b < loopBuckets_.size(); ++b) {
         for (const ScheduledOp &s : loopBuckets_[b]) {
             Opcode op = k->graph.nodes[s.node].op;
             if (op == Opcode::In || op == Opcode::Out ||
                 op == Opcode::OutCond)
                 bucketHasStream_[b] = 1;
-            if (op == Opcode::Out || op == Opcode::OutCond)
-                bucketHasOut_[b] = 1;
         }
     }
-    // Circular distance-to-next tables, one O(2*ii) backward sweep per
-    // predicate (the naive per-bucket scan is O(ii^2), which shows up
-    // at launch time for high-II kernels like the 8x8 DCT).  Walking
-    // two laps from the back with the position of the closest hit seen
-    // so far leaves, on the second (b < ii) lap, the wrapped distance
-    // from b to the next hit strictly ahead.
-    const size_t nb = loopBuckets_.size();
-    nextIssueDelta_.assign(nb, static_cast<uint32_t>(nb));
-    nextStreamDelta_.assign(nb, UINT32_MAX);
-    nextOutDelta_.assign(nb, UINT32_MAX);
-    auto sweep = [nb](auto pred, std::vector<uint32_t> &out) {
-        uint64_t next = UINT64_MAX;
-        for (size_t i = 2 * nb; i-- > 0;) {
-            if (i < nb && next != UINT64_MAX)
-                out[i] = static_cast<uint32_t>(next - i);
-            if (pred(i % nb))
-                next = i;
-        }
-    };
-    sweep([this](size_t b) { return !loopBuckets_[b].empty(); },
-          nextIssueDelta_);
-    sweep([this](size_t b) { return bucketHasStream_[b] != 0; },
-          nextStreamDelta_);
-    sweep([this](size_t b) { return bucketHasOut_[b] != 0; },
-          nextOutDelta_);
     if (emptyLoop) {
         steadyLo_ = steadyHi_ = 0;
     } else {
@@ -276,9 +243,9 @@ ClusterArray::bindDerived()
     std::sort(epiOps_.begin(), epiOps_.end(), byTime);
 
     // Bind the pre-decoded micro-op trace (shared process-wide through
-    // the compile cache) unless the interpretive escape hatch is on.
+    // the compile cache) unless the interpretive path is selected.
     low_ = nullptr;
-    if (cfg_.predecode && !noPredecodeEnv_) {
+    if (cfg_.predecode) {
         if (!curBind_->lowered)
             curBind_->lowered =
                 kernelc::CompileCache::instance().lowered(*k);
@@ -1434,177 +1401,6 @@ ClusterArray::tick()
     }
 }
 
-bool
-ClusterArray::insResident() const
-{
-    if (insResident_)
-        return true;
-    for (const Binding &b : ins_)
-        if (!srf_.inFullyFetched(b.client))
-            return false;
-    insResident_ = true;
-    return true;
-}
-
-Cycle
-ClusterArray::nextEventAfter(Cycle now) const
-{
-    switch (phase_) {
-      case Phase::Idle:
-      case Phase::Done:
-        return kForever;
-      case Phase::Startup:
-        // Fixed countdown; the interesting tick is the transition.
-        return now + (static_cast<uint64_t>(cfg_.kernelStartupCycles) -
-                      t_);
-      case Phase::Shutdown:
-        return now + (static_cast<uint64_t>(cfg_.kernelShutdownCycles) -
-                      t_);
-      case Phase::Loop: {
-        // A run of loop positions is batchable (skipIdle executes it
-        // verbatim, with collectLoopOps' time/iteration filtering) when
-        // none of its buckets can stall or produce work for another
-        // component:
-        //
-        //  - stream-free buckets touch only cluster-private state
-        //    (LRFs, scratchpad, UCRs);
-        //  - once every input stream is resident in the SRF
-        //    (Srf::inFullyFetched), In buckets cannot stall and leave
-        //    the arbiter nothing to move, so only Out buckets - whose
-        //    produced words wake the arbiter - cut the run.
-        //
-        // The run is also cut at the loop-exit tick (position
-        // loopTotal_ - 1, which flips phase and must run per-cycle).
-        // Stalled positions never reach here with a horizon: a stall
-        // re-ticks the same stream bucket, which reports now + 1.
-        if (t_ + 1 >= loopTotal_)
-            return now + 1;
-        size_t b = static_cast<size_t>(t_ % kernel_->loop.ii);
-        if (bucketHasOut_[b])
-            return now + 1;
-        uint64_t o;
-        if (insResident())
-            o = nextOutDelta_[b];
-        else if (!bucketHasStream_[b])
-            o = nextStreamDelta_[b];
-        else
-            return now + 1;
-        o = std::min(o, loopTotal_ - 1 - t_);
-        // Never advertise a horizon across a fold arm: the driver must
-        // observe foldArmed() exactly at the arm position.  At or past
-        // the arm, stay per-cycle until the fold fires (or forfeits).
-        if (foldNext_ < foldPlan_.size()) {
-            uint64_t arm = foldPlan_[foldNext_].arm;
-            if (t_ >= arm)
-                return now + 1;
-            o = std::min(o, arm - 1 - t_);
-            // Same for the measurement-window open: the mark is taken
-            // by a per-cycle tick, so the event-driven skip must not
-            // batch-execute across measureFrom.
-            uint64_t mf = foldPlan_[foldNext_].measureFrom;
-            if (t_ == mf && foldPosMark_ != t_)
-                return now + 1;
-            if (t_ < mf)
-                o = std::min(o, mf - 1 - t_);
-        }
-        if (o == 0)
-            return now + 1;
-        return now + o + 1;
-      }
-      case Phase::Prologue:
-      case Phase::Epilogue: {
-        // Op-free cycles in the fixed schedules only bump counters;
-        // the next event is the first cycle holding an op, or the
-        // phase-exit tick (position length - 1).
-        const auto &ops =
-            phase_ == Phase::Prologue ? proOps_ : epiOps_;
-        uint64_t len = phase_ == Phase::Prologue
-                           ? kernel_->prologue.length
-                           : kernel_->epilogue.length;
-        if (t_ + 1 >= len)
-            return now + 1;
-        // ops is sorted by time; find the first op at or after t_.
-        auto it = std::lower_bound(
-            ops.begin(), ops.end(), t_,
-            [](const kernelc::ScheduledOp &s, uint64_t t) {
-                return static_cast<uint64_t>(s.time) < t;
-            });
-        uint64_t next =
-            it == ops.end() ? len - 1 : static_cast<uint64_t>(it->time);
-        if (next <= t_)
-            return now + 1;
-        return now + std::min(next, len - 1) - t_ + 1;
-      }
-      default:
-        // Stalled positions are kept per-cycle: predicting stall spans
-        // would re-run cycleCanIssue here, costing what it saves.
-        return now + 1;
-    }
-}
-
-void
-ClusterArray::skipIdle(Cycle from, uint64_t span)
-{
-    (void)from;
-    // Fold the counters a skipped tick would have bumped.  Beyond the
-    // countdown phases, only op-free schedule positions advertise
-    // horizons past now + 1; their ticks increment exactly these
-    // counters (and reset the stall watchdog, which is provably zero
-    // already: a stalled position re-ticks a non-empty bucket).
-    if (phase_ == Phase::Startup) {
-        t_ += span;
-        kernelCycles_ += span;
-        stats_.startupCycles += span;
-    } else if (phase_ == Phase::Shutdown) {
-        t_ += span;
-        kernelCycles_ += span;
-        stats_.shutdownCycles += span;
-    } else if (phase_ == Phase::Loop) {
-        // Batch-execute the advertised run with exactly the
-        // time/iteration filtering collectLoopOps applies, so each
-        // skipped position executes what its per-cycle tick would
-        // have.  The horizon guarantees no position can stall.
-        if (low_) {
-            for (uint64_t p = t_; p < t_ + span; ++p)
-                execLoopPositionMicro(p);
-        } else {
-            for (uint64_t p = t_; p < t_ + span; ++p) {
-                if (p >= loopWindow_)
-                    continue;
-                const auto &bucket = loopBuckets_[static_cast<size_t>(
-                    p % kernel_->loop.ii)];
-                for (const ScheduledOp &s : bucket) {
-                    if (static_cast<uint64_t>(s.time) > p)
-                        continue;
-                    uint64_t iter =
-                        (p - static_cast<uint64_t>(s.time)) /
-                        kernel_->loop.ii;
-                    if (iter < trip_)
-                        executeOp(s, static_cast<uint32_t>(iter), true);
-                }
-            }
-        }
-        t_ += span;
-        kernelCycles_ += span;
-        stats_.loopCycles += span;
-        stallWatchdog_ = 0;
-        // One bucket-granularity issue region for the whole batch;
-        // per-cycle ticking would have touched the same cycles.
-        if (trace_)
-            trace_->mergeSpan(tIssue_, from, from + span, "issue",
-                              span);
-    } else if (phase_ == Phase::Prologue) {
-        t_ += span;
-        kernelCycles_ += span;
-        stats_.prologueCycles += span;
-    } else if (phase_ == Phase::Epilogue) {
-        t_ += span;
-        kernelCycles_ += span;
-        stats_.epilogueCycles += span;
-        stallWatchdog_ = 0;
-    }
-}
-
 void
 ClusterArray::saveState(ckpt::Serializer &s) const
 {
@@ -1663,7 +1459,6 @@ ClusterArray::saveState(ckpt::Serializer &s) const
     s.u32(trip_);
     s.b(restart_);
     s.b(skipPrologue_);
-    s.b(insResident_);
     s.u8(static_cast<uint8_t>(phase_));
     s.u64(t_);
     s.u64(kernelCycles_);
@@ -1712,7 +1507,6 @@ ClusterArray::loadState(ckpt::Deserializer &d)
     trip_ = d.u32();
     restart_ = d.b();
     skipPrologue_ = d.b();
-    insResident_ = d.b();
     phase_ = static_cast<Phase>(d.u8());
     t_ = d.u64();
     kernelCycles_ = d.u64();

@@ -139,8 +139,6 @@ class ClusterArray : public Component
     void tick(Cycle) override { tick(); }
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
-    Cycle nextEventAfter(Cycle now) const override;
-    void skipIdle(Cycle from, uint64_t span) override;
     void saveState(ckpt::Serializer &s) const override;
     void loadState(ckpt::Deserializer &d) override;
 
@@ -204,22 +202,15 @@ class ClusterArray : public Component
     /**
      * Re-derive every launch table that is a pure function of the bound
      * kernel, trip count, config and bind-cache entry: value-buffer
-     * depth, issue buckets, loop extents, steady-state window, sweep
-     * tables, sorted prologue/epilogue schedules, the lowered micro-op
-     * trace and scratch reserves.  Called by start() at launch and by
+     * depth, issue buckets, loop extents, steady-state window, sorted
+     * prologue/epilogue schedules, the lowered micro-op trace and
+     * scratch reserves.  Called by start() at launch and by
      * loadState() after a restore (the lowered trace is re-fetched from
      * the process-wide CompileCache rather than serialized, so a
      * restored run rebinds deterministically).
      */
     void bindDerived();
 
-    /**
-     * True when every input stream is fully fetched into the SRF.
-     * Latches true for the rest of the launch (a client's fetched count
-     * only grows until retire() closes it), so the per-horizon-query
-     * cost collapses to a flag test once the fetch phase completes.
-     */
-    bool insResident() const;
     /** Fetch the value of node @p id for consumer iteration @p iter. */
     Word value(uint32_t id, uint32_t iter, int lane) const;
     /** Store a computed value. */
@@ -310,44 +301,13 @@ class ClusterArray : public Component
     uint64_t steadyHi_ = 0;
     /** Buckets containing In/Out/OutCond ops (need cycleCanIssue). */
     std::vector<uint8_t> bucketHasStream_;
-    /**
-     * Forward distance (1..ii) from bucket b to the next non-empty
-     * bucket, for the empty-bucket loop horizon: an empty bucket issues
-     * nothing at any loop position, so ticks landing on one are pure
-     * counter increments that skipIdle can fold.
-     */
-    std::vector<uint32_t> nextIssueDelta_;
-    /**
-     * Forward distance from bucket b to the next bucket holding an
-     * In/Out/OutCond op (UINT32_MAX when no bucket does).  Inside the
-     * steady-state window, stream-free buckets cannot stall and touch
-     * only cluster-private state (LRFs, scratchpad, UCRs), so a run of
-     * them batch-executes inside skipIdle while the rest of the machine
-     * is provably idle.
-     */
-    std::vector<uint32_t> nextStreamDelta_;
-    /** Buckets holding an Out/OutCond op (produce SRF arbiter work). */
-    std::vector<uint8_t> bucketHasOut_;
-    /**
-     * Forward distance from bucket b to the next Out/OutCond bucket
-     * (UINT32_MAX when none).  Once every input stream is fully fetched
-     * (Srf::inFullyFetched), In buckets can neither stall nor leave the
-     * arbiter anything to move, so batched runs extend across them and
-     * are cut only at Out buckets, whose produced words wake the
-     * arbiter for per-cycle draining.
-     */
-    std::vector<uint32_t> nextOutDelta_;
     uint64_t stallWatchdog_ = 0;
-    /** Latched insResident() result for the current launch. */
-    mutable bool insResident_ = false;
     /**
      * Lowered trace of the current kernel (owned by curBind_), or
      * nullptr when the interpretive path is active
-     * (cfg.predecode == false or IMAGINE_NO_PREDECODE set).
+     * (cfg.predecode == false).
      */
     const kernelc::LoweredKernel *low_ = nullptr;
-    /** IMAGINE_NO_PREDECODE seen at construction. */
-    bool noPredecodeEnv_ = false;
     /** Row slot epilogue consumers read: (trip-1) & mask (0 if trip 0). */
     uint32_t epiRowSlot_ = 0;
     /** Issue cursors into low_->prologue / low_->epilogue. */

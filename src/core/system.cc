@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ctime>
 
 #include "ckpt/report.hh"
@@ -42,8 +41,8 @@ fnv1a64(const void *p, size_t n, uint64_t h)
 
 /**
  * Hash every config field with architectural effect.  Deliberately
- * excluded: the engine knobs proven bit-identical across settings
- * (eventDriven, predecode), the trace sink (a read-only observer) and
+ * excluded: the engine knob proven bit-identical across settings
+ * (predecode), the trace sink (a read-only observer) and
  * the checkpoint knobs themselves - a restored run may legitimately
  * checkpoint elsewhere, and restore across engine modes is a supported
  * (and tested) use.
@@ -150,17 +149,6 @@ ImagineSystem::ImagineSystem(const MachineConfig &cfg)
       sc_(cfg_, srf_, mem_, clusters_, kernels_), host_(cfg_, sc_),
       components_{&host_, &sc_, &clusters_, &mem_, &srf_}
 {
-    // Global escape hatch: IMAGINE_NO_SKIP=1 disables the event-horizon
-    // fast-forward regardless of what the config asked for, so any
-    // binary (benches included) can be A/B'd without a rebuild.
-    if (getenv("IMAGINE_NO_SKIP"))
-        cfg_.eventDriven = false;
-    // Same pattern for the pre-decoded micro-op engine; the cluster
-    // array also checks the variable itself so rigs that bypass
-    // ImagineSystem honor it, but flipping the config here keeps the
-    // session's view of its own knobs accurate.
-    if (getenv("IMAGINE_NO_PREDECODE"))
-        cfg_.predecode = false;
     if (cfg_.faults.enabled) {
         inj_ = std::make_unique<FaultInjector>(cfg_.faults);
         srf_.setFaultInjector(inj_.get());
@@ -319,22 +307,6 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
             report);
     };
 
-    uint64_t dbgAttempts = 0, dbgSkips = 0, dbgSkipped = 0;
-    uint64_t dbgKill[5] = {};
-    // Attempt-suppression hold (a pure perf heuristic - it can only
-    // reduce skip coverage, never change simulated state): when the
-    // memory system or the SRF arbiter kills an attempt, it is mid-
-    // burst (generating addresses, servicing DRAM, moving words) and
-    // will keep killing until its work surfaces as progress, so re-
-    // querying horizons every no-progress cycle of the burst is wasted
-    // scanning.  Cleared on the next progress cycle, so it only arms
-    // while the cluster array is idle: transfer bursts surface progress
-    // (delivered words) every few cycles, whereas a running kernel
-    // moves no progress counter until it retires and a hold would
-    // wrongly outlive the burst and suppress every later in-kernel
-    // skip.
-    bool skipHold = false;
-
     // One-shot restore: session setup (kernel registration, data
     // staging, loadProgram above) replayed normally; now the saved
     // mid-run state is overlaid and the loop continues from it.  A
@@ -354,8 +326,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         if (ord == runIndex) {
             restoreConsumed_ = true;
             restoreCheckpoint(cfg_.restorePath, program, playback,
-                              runIndex, start, lastProgress, skipHold,
-                              trace0, before);
+                              runIndex, start, lastProgress, trace0,
+                              before);
             lastMetric = progress();
             // Component state is restored, but trace bookkeeping (slot
             // track leases, the cluster's per-launch spans) is not
@@ -404,8 +376,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         if (ckptPeriodic && (cycle_ - start) % ckptEvery == 0 &&
             cycle_ != lastCkpt) {
             saveCheckpoint(cfg_.checkpointPath, program, playback,
-                           runIndex, start, lastProgress, skipHold,
-                           trace0, before, nullptr);
+                           runIndex, start, lastProgress, trace0,
+                           before, nullptr);
             lastCkpt = cycle_;
             if (checkpointHook_)
                 checkpointHook_(cycle_ - start, cfg_.checkpointPath);
@@ -419,7 +391,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         // analytically, then advance the rest of the machine across the
         // returned wall span with a bounded tick/idle-jump loop, so
         // overlapped memory transfers and host issue progress by
-        // exactly the folded cycles.
+        // exactly the folded cycles.  This is the only consumer of the
+        // component horizons (DESIGN.md section 8).
         if (clusters_.foldArmed()) {
             if (trace_)
                 trace_->setNow(cycle_);
@@ -435,8 +408,8 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                 srf_.tick();
                 ++cycle_;
                 Cycle now = cycle_ - 1;
-                // Same cheapest-reject order as the main loop: stop at
-                // the first horizon that is the very next cycle.
+                // Cheapest-reject order: stop at the first horizon
+                // that is the very next cycle.
                 Cycle h = std::min(target, mem_.nextEventAfter(now));
                 if (h > cycle_)
                     h = std::min(h, sc_.nextEventAfter(now));
@@ -458,7 +431,6 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                                   "sampled-fold", foldSpan);
             lastMetric = progress();
             lastProgress = cycle_;
-            skipHold = false;
             if (cycle_ - start >= cycleLimit)
                 throwLimit();
             continue;
@@ -475,102 +447,13 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
         ++cycle_;
 
         uint64_t m = progress();
-        bool progressed = m != lastMetric;
-        if (progressed) {
+        if (m != lastMetric) {
             lastMetric = m;
             lastProgress = cycle_;
-            skipHold = false;
         } else if (cycle_ - lastProgress >=
                    cfg_.watchdogStagnationCycles) {
             throwWatchdog();
         }
-        if (cycle_ - start >= cycleLimit)
-            throwLimit();
-
-        // --- event-horizon fast-forward (DESIGN.md section 8) ----------
-        // When every component promises its next event lies past
-        // cycle_, the span in between is pure idle ticking: fold it in
-        // one step.  Each counter a skipped tick would have bumped is
-        // folded by skipIdle(); the watchdog and cycle-limit clamps
-        // make both fire at exactly the per-cycle cycle numbers.
-        //
-        // Only cycles that moved no progress counter are candidates: a
-        // cycle that retired, issued, or moved a word has an active
-        // component whose next event is (almost always) the very next
-        // cycle, so querying horizons there is pure overhead.  At a
-        // busy->idle transition this costs exactly one plain tick
-        // before the skip engages.
-        if (!cfg_.eventDriven || progressed || skipHold)
-            continue;
-        if (host_.finished() && sc_.drained() && sc_.quiescent() &&
-            !clusters_.busy())
-            continue;   // finished; never skip past the exit check
-        Cycle now = cycle_ - 1;
-        // Query order is cheapest-reject first: each component bails
-        // the whole attempt as soon as the horizon collapses to the
-        // very next cycle, so a busy cluster array (an O(1) phase
-        // check) short-circuits the O(slots/channels/clients) scans.
-        ++dbgAttempts;
-        Cycle h = clusters_.nextEventAfter(now);
-        if (h <= cycle_) ++dbgKill[0];
-        if (h > cycle_) {
-            h = std::min(h, mem_.nextEventAfter(now));
-            if (h <= cycle_) {
-                ++dbgKill[1];
-                skipHold = !clusters_.busy();
-            }
-        }
-        if (h > cycle_) {
-            h = std::min(h, sc_.nextEventAfter(now));
-            if (h <= cycle_) ++dbgKill[2];
-        }
-        if (h > cycle_) {
-            h = std::min(h, srf_.nextEventAfter(now));
-            if (h <= cycle_) {
-                ++dbgKill[3];
-                skipHold = !clusters_.busy();
-            }
-        }
-        if (h > cycle_) {
-            h = std::min(h, host_.nextEventAfter(now));
-            if (h <= cycle_) ++dbgKill[4];
-        }
-        h = std::min(h, lastProgress + cfg_.watchdogStagnationCycles);
-        h = std::min(h, start + cycleLimit);
-        // Never jump past a checkpoint boundary: periodic snapshots
-        // land on exact cycle multiples in every engine mode.
-        if (ckptPeriodic)
-            h = std::min(h, start + ((cycle_ - start) / ckptEvery + 1) *
-                                        ckptEvery);
-        if (h <= cycle_)
-            continue;
-        ++dbgSkips;
-        dbgSkipped += h - cycle_;
-        uint64_t span = h - cycle_;
-        if (trace_) {
-            // One folded region per skip, on the engine track; merged
-            // with an adjacent fold of the same cause so long idle
-            // stretches stay one span regardless of how many horizon
-            // queries they took.
-            const char *name = "loop-fold";
-            if (!clusters_.busy()) {
-                switch (sc_.idleCause()) {
-                  case IdleCause::UcodeLoad: name = "idle(ucode)"; break;
-                  case IdleCause::Memory: name = "idle(mem)"; break;
-                  case IdleCause::ScOverhead: name = "idle(sc)"; break;
-                  case IdleCause::Host: name = "idle(host)"; break;
-                  default: name = "idle"; break;
-                }
-            }
-            trace_->mergeSpan(engineTrack_, cycle_, h, name, span);
-        }
-        for (Component *c : components_)
-            c->skipIdle(cycle_, span);
-        if (!clusters_.busy())
-            idleCycles_[static_cast<int>(sc_.idleCause())] += span;
-        cycle_ = h;
-        if (cycle_ - lastProgress >= cfg_.watchdogStagnationCycles)
-            throwWatchdog();
         if (cycle_ - start >= cycleLimit)
             throwLimit();
     }
@@ -588,27 +471,13 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
             try {
                 saveCheckpoint(cfg_.checkpointPath + ".crash", program,
                                playback, runIndex, start, lastProgress,
-                               skipHold, trace0, before, &e);
+                               trace0, before, &e);
             } catch (const SimError &) {
             }
         }
         throw;
     }
     runWallSeconds_ += threadSeconds() - wall0;
-    if (getenv("IMAGINE_SKIP_DEBUG"))
-        fprintf(stderr,
-                "skipdbg: cycles=%llu attempts=%llu skips=%llu "
-                "skipped=%llu kill[clu=%llu mem=%llu sc=%llu srf=%llu "
-                "host=%llu]\n",
-                (unsigned long long)(cycle_ - start),
-                (unsigned long long)dbgAttempts,
-                (unsigned long long)dbgSkips,
-                (unsigned long long)dbgSkipped,
-                (unsigned long long)dbgKill[0],
-                (unsigned long long)dbgKill[1],
-                (unsigned long long)dbgKill[2],
-                (unsigned long long)dbgKill[3],
-                (unsigned long long)dbgKill[4]);
 
     if (trace_) {
         trace_->setNow(cycle_);
@@ -824,7 +693,7 @@ ImagineSystem::saveCheckpoint(const std::string &path,
                               const StreamProgram &program,
                               bool playback, uint64_t runIndex,
                               uint64_t start, Cycle lastProgress,
-                              bool skipHold, size_t trace0,
+                              size_t trace0,
                               const StatsSnapshot &before,
                               const SimError *err) const
 {
@@ -839,7 +708,6 @@ ImagineSystem::saveCheckpoint(const std::string &path,
     s.u64(cycle_);
     s.u64(start);
     s.u64(lastProgress);
-    s.b(skipHold);
     s.u64(trace0);
     // Stat names travel with the values so a restoring session whose
     // registry shape differs (different trace knobs register different
@@ -881,7 +749,7 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
                                  const StreamProgram &program,
                                  bool playback, uint64_t runIndex,
                                  uint64_t &start, Cycle &lastProgress,
-                                 bool &skipHold, size_t &trace0,
+                                 size_t &trace0,
                                  StatsSnapshot &before)
 {
     ckpt::Deserializer d = ckpt::Deserializer::fromFile(
@@ -909,7 +777,6 @@ ImagineSystem::restoreCheckpoint(const std::string &path,
     cycle_ = d.u64();
     start = d.u64();
     lastProgress = d.u64();
-    skipHold = d.b();
     trace0 = static_cast<size_t>(d.u64());
     // Name-matched stats transfer: the writer's registry shape may
     // differ from ours when engine-only knobs diverge - the headline

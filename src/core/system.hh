@@ -261,8 +261,8 @@ class ImagineSystem
     void saveCheckpoint(const std::string &path,
                         const StreamProgram &program, bool playback,
                         uint64_t runIndex, uint64_t start,
-                        Cycle lastProgress, bool skipHold,
-                        size_t trace0, const StatsSnapshot &before,
+                        Cycle lastProgress, size_t trace0,
+                        const StatsSnapshot &before,
                         const SimError *err) const;
     /**
      * Overlay @p path's state after loadProgram() replayed the session
@@ -272,14 +272,14 @@ class ImagineSystem
     void restoreCheckpoint(const std::string &path,
                            const StreamProgram &program, bool playback,
                            uint64_t runIndex, uint64_t &start,
-                           Cycle &lastProgress, bool &skipHold,
-                           size_t &trace0, StatsSnapshot &before);
+                           Cycle &lastProgress, size_t &trace0,
+                           StatsSnapshot &before);
 
     MachineConfig cfg_;
     KernelRegistry kernels_;
     std::unique_ptr<FaultInjector> inj_;    ///< null when faults off
     std::unique_ptr<trace::TraceSink> trace_;   ///< null when trace off
-    uint32_t engineTrack_ = 0;              ///< folded-idle regions
+    uint32_t engineTrack_ = 0;              ///< sampled-fold regions
     Srf srf_;
     MemorySystem mem_;
     ClusterArray clusters_;

@@ -28,9 +28,8 @@
  * it is shared process-wide through the compile cache
  * (CompileCache::lowered) under the same fingerprint discipline as the
  * schedules.  Execution semantics live in cluster/cluster.cc; the
- * interpretive path remains available behind `cfg.predecode = false` /
- * `IMAGINE_NO_PREDECODE=1` and is bit-identical by construction
- * (tests/predecode_test.cc).
+ * interpretive path remains available behind `cfg.predecode = false`
+ * and is bit-identical by construction (tests/predecode_test.cc).
  */
 
 #ifndef IMAGINE_KERNELC_PREDECODE_HH

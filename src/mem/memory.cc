@@ -603,6 +603,9 @@ MemorySystem::tick(Cycle now)
 Cycle
 MemorySystem::nextEventAfter(Cycle now) const
 {
+    // Only the sampled-fold catch-up queries horizons, and that tier
+    // never runs with a fault injector (DESIGN.md section 8), so armed
+    // AG-stall sites need no horizon of their own.
     Cycle h = kForever;
 
     // Channels act on core cycles that are memClockDivider multiples,
@@ -624,13 +627,6 @@ MemorySystem::nextEventAfter(Cycle now) const
             h = std::min(h, std::max(now + 1, st.deliveries.top().ready));
         if (st.nextElem >= st.length)
             continue;
-        // An armed AG-stall site rolls the RNG on every unstalled
-        // generate cycle; skipping one would desynchronise the fault
-        // trace, so the horizon pins to the next roll.
-        if (inj_ && inj_->plan().agStallRate > 0.0) {
-            h = std::min(h, std::max(now + 1, st.stallUntil));
-            continue;
-        }
         bool can;
         if (st.sink)
             can = st.nextElem - st.completed < 128;

@@ -136,7 +136,6 @@ overrideTable()
         INT_FIELD(hostRoundTripCycles),
         INT_FIELD(nonPlaybackHostOverheadCycles),
         U64_FIELD(watchdogStagnationCycles),
-        BOOL_FIELD(eventDriven),
         BOOL_FIELD(predecode),
         INT_FIELD(clusterBindCacheKernels),
         BOOL_FIELD(trace),

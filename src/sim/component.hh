@@ -50,6 +50,8 @@ class Component
     virtual void resetStats() = 0;
 
     // --- event horizon (DESIGN.md section 8) ---------------------------
+    // Queried only by the sampled-fidelity fold, which advances the
+    // rest of the machine across a folded cluster span.
     /**
      * Earliest cycle t > @p now at which this component's tick(t) can do
      * anything beyond its linear idle effects (the per-cycle counter and

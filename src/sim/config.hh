@@ -184,16 +184,6 @@ struct MachineConfig
     // Simulator engine (no architectural effect)
     // ------------------------------------------------------------------
     /**
-     * Event-horizon fast-forward: when every component agrees nothing
-     * can happen before cycle h, the cycle loop jumps straight to h,
-     * folding the skipped idle span into the same counters per-cycle
-     * ticking would have produced.  Reported cycle counts, Fig. 11
-     * breakdowns, fault traces and hang reports are bit-identical
-     * either way (tests/skip_test.cc); off is the escape hatch and the
-     * A/B axis (--no-skip in the examples).
-     */
-    bool eventDriven = true;
-    /**
      * Pre-decoded micro-op execution engine (DESIGN.md section 9): at
      * kernel bind, lower the scheduled ops to a flat micro-op trace
      * (dense handler index, operand rows pre-resolved into the value
@@ -201,8 +191,9 @@ struct MachineConfig
      * linearly; the SRF moves each granted per-cycle word batch as one
      * block.  Results, stats, fault traces and cycle counts are
      * bit-identical to the interpretive path
-     * (tests/predecode_test.cc); off is the escape hatch and the A/B
-     * axis (IMAGINE_NO_PREDECODE=1 for any binary).
+     * (tests/predecode_test.cc); off is the interpretive reference
+     * oracle the differential tests and bench/perf_smoke compare
+     * against.
      */
     bool predecode = true;
     /**
@@ -253,9 +244,9 @@ struct MachineConfig
     /**
      * Periodic checkpointing (DESIGN.md section 11): every this many
      * cycles of a run, serialize full machine state to checkpointPath.
-     * 0 (the default) disables it.  The event-horizon fast-forward
-     * clamps its jumps to the next boundary, so checkpoints land on
-     * exact cycle multiples in every engine mode.
+     * 0 (the default) disables it.  Checkpoints land on exact cycle
+     * multiples of the run (periodic checkpointing forces the
+     * per-cycle Cycle tier).
      */
     uint64_t checkpointEveryCycles = 0;
     /**

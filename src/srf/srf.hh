@@ -93,17 +93,6 @@ class Srf : public Component
      */
     void inConsumeRow(int client, uint32_t first, uint32_t stride,
                       Word *dst);
-    /**
-     * True when every word of the stream is already in the buffer: the
-     * arbiter has nothing left to move for this client, so consumption
-     * can never stall nor create SRF work (the basis of the cluster's
-     * batched In execution, DESIGN.md section 8).
-     */
-    bool inFullyFetched(int client) const
-    {
-        const Client &c = clients_[static_cast<size_t>(client)];
-        return c.fetched >= c.length;
-    }
 
     // --- output-side producer interface ---------------------------------
     /** True when the buffer can accept stream word @p elem. */

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -39,8 +40,8 @@ constexpr int kSeedsPerApp = 24;
 /**
  * Machine shape, engine mode and fault plan for one differential seed:
  * three shapes (dev board, isim, dev board with a single-entry bind
- * cache to force rebinds across restore), all four eventDriven x
- * predecode engine modes, chaos-style faults with the ECC mode cycled.
+ * cache to force rebinds across restore), predecode on and off,
+ * chaos-style faults with the ECC mode cycled.
  */
 MachineConfig
 shapeFor(int seed)
@@ -58,7 +59,6 @@ shapeFor(int seed)
         cfg.clusterBindCacheKernels = 1;
         break;
     }
-    cfg.eventDriven = (seed % 4) < 2;
     cfg.predecode = (seed % 2) == 0;
     cfg.faults.enabled = true;
     cfg.faults.seed = 0x5eed7ull * 1000 + static_cast<uint64_t>(seed);
@@ -250,6 +250,22 @@ TEST(CkptTest, TruncatedOrCorruptImageIsRejected)
     std::vector<uint8_t> wrongMagic = image;
     wrongMagic[0] ^= 0xff;
     EXPECT_THROW(ckpt::Deserializer bad(std::move(wrongMagic)), SimError);
+
+    // An image from another format version (the word after the magic)
+    // is rejected up front, naming both versions.
+    std::vector<uint8_t> wrongVersion = image;
+    uint32_t older = ckpt::kVersion - 1;
+    std::memcpy(wrongVersion.data() + sizeof(uint32_t), &older,
+                sizeof(older));
+    try {
+        ckpt::Deserializer bad(std::move(wrongVersion));
+        ADD_FAILURE() << "wrong-version image was accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::Fatal);
+        EXPECT_NE(std::string(e.what()).find("format version"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CkptTest, MismatchedRestoreIsRejected)

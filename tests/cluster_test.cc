@@ -2,18 +2,21 @@
  * @file
  * Tests for the cluster-array execution engine: functional correctness
  * of every op class under software pipelining, SIMD/COMM semantics,
- * conditional streams, restart carry-over, timing sanity, and a
- * differential property test against a reference interpreter.
+ * conditional streams, restart carry-over, timing sanity, zero-trip
+ * launches of every app kernel family, and a differential property test
+ * against a reference interpreter.
  */
 
 #include <gtest/gtest.h>
 
+#include "app_kernels.hh"
 #include "sim_test_util.hh"
 
 #include "sim/rng.hh"
 
 using namespace imagine;
 using namespace imagine::kernelc;
+using imagine::testutil::allAppKernels;
 using imagine::testutil::ClusterRig;
 using imagine::testutil::ReferenceInterp;
 
@@ -339,6 +342,30 @@ TEST(ClusterTest, StatsAreAccumulated)
     EXPECT_EQ(st.sbWrites, uint64_t(trip) * numClusters);
     EXPECT_GT(st.loopCycles, 0u);
     EXPECT_GT(st.startupCycles, 0u);
+}
+
+TEST(ClusterTest, ZeroTripEveryAppKernel)
+{
+    // A zero-length stream (trip 0) must launch, retire, and produce
+    // nothing, for every kernel family the applications use.
+    MachineConfig cfg;
+    for (auto &[name, graph] : allAppKernels()) {
+        CompiledKernel k = compile(std::move(graph), cfg);
+        ClusterRig rig(cfg);
+        std::vector<std::vector<Word>> inputs(
+            static_cast<size_t>(k.graph.numInStreams));
+        std::vector<std::vector<Word>> out;
+        ASSERT_NO_THROW(out = rig.run(k, inputs)) << name;
+        ASSERT_EQ(out.size(),
+                  static_cast<size_t>(k.graph.numOutStreams))
+            << name;
+        for (const auto &o : out)
+            EXPECT_TRUE(o.empty()) << name;
+        // No iterations: the loop degenerates to a single empty issue
+        // cycle and the prologue/epilogue never run.
+        EXPECT_EQ(rig.ca.stats().prologueCycles, 0u) << name;
+        EXPECT_EQ(rig.ca.stats().epilogueCycles, 0u) << name;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * Cross-commit golden results.
  *
- * Every other identity test compares two modes of one binary (skip on
- * vs off, trace on vs off, straight vs restored), so a change that moves
+ * Every other identity test compares two modes of one binary (predecode
+ * on vs off, trace on vs off, straight vs restored), so a change that moves
  * cycles in every mode at once passes all of them.  This test pins an
  * FNV-1a hash of RunResult::toJson() - plus the cycle count, so a
  * failure reads clearly - for a fixed set of runs that together reach

@@ -2,7 +2,8 @@
  * @file
  * Tests for the memory system: functional correctness of strided and
  * indexed loads/stores, SDRAM timing behaviour (row hits vs misses,
- * channel interleave, the precharge-bug quirk) and the controller cache.
+ * channel interleave, the precharge-bug quirk), the controller cache,
+ * and golden counters pinning the FR-FCFS scheduler's pick order.
  */
 
 #include <gtest/gtest.h>
@@ -295,4 +296,52 @@ TEST(MemoryTest, AgDoneLifecyclePanicsOnMisuse)
     rig.mem.startLoad(0, Mar{}, {0, 64}, nullptr);
     EXPECT_THROW(rig.mem.startLoad(0, Mar{}, {0, 64}, nullptr),
                  std::logic_error);
+}
+
+TEST(MemoryTest, FrFcfsSchedulerGoldens)
+{
+    // Mixed workload: an indexed gather hopping across rows/banks (the
+    // scheduler frequently picks a non-front request) plus a long
+    // unit-stride load (exercises the seqHits >= 24 precharge-bug
+    // path).  The counters below pin the scheduler's pick order: any
+    // reorder of the order-preserving O(pick) removal would shift them.
+    MachineConfig cfg;
+    Srf srf(cfg);
+    MemorySystem mem(cfg, srf);
+    for (Addr a = 0; a < 1 << 16; ++a)
+        mem.space().writeWord(a, static_cast<Word>(a * 2654435761u));
+
+    const uint32_t n0 = 512;
+    Sdr idxSdr{0, n0};
+    for (uint32_t i = 0; i < n0; ++i)
+        srf.write(i, (i * 677u) % 16384u);
+    Sdr dst0{n0, n0};
+    Mar mar0;
+    mar0.baseWord = 0;
+    mar0.mode = MarMode::Indexed;
+    mar0.recordWords = 1;
+    mem.startLoad(0, mar0, dst0, &idxSdr);
+
+    const uint32_t n1 = 2048;
+    Sdr dst1{2 * n0, n1};
+    Mar mar1;
+    mar1.baseWord = 32768;
+    mar1.mode = MarMode::Stride;
+    mar1.strideWords = 1;
+    mar1.recordWords = 1;
+    mem.startLoad(1, mar1, dst1, nullptr);
+
+    Cycle now = 0;
+    while ((!mem.agDone(0) || !mem.agDone(1)) && now < 1'000'000) {
+        mem.tick(now);
+        srf.tick();
+        ++now;
+    }
+    const MemStats &s = mem.stats();
+    EXPECT_EQ(now, 2139u);
+    EXPECT_EQ(s.rowMisses, 169u);
+    EXPECT_EQ(s.bugPrecharges, 72u);
+    EXPECT_EQ(s.dramAccesses, 2560u);
+    EXPECT_EQ(s.cacheHits, 0u);
+    EXPECT_EQ(s.channelBusyMemCycles, 4199u);
 }

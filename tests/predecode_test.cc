@@ -17,13 +17,11 @@
  *  - whole-app and machine-shape-sweep bit-identity of
  *    RunResult::toJson(),
  *  - chaos campaigns (10 seeds per ECC mode) on vs. off,
- *  - the IMAGINE_NO_PREDECODE escape hatch,
  *  - LRU behavior and stats of the per-kernel bind cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -244,8 +242,7 @@ TEST(PredecodeTest, AppBitIdentityRtsl)
 TEST(PredecodeTest, SweepBitIdentity)
 {
     // The contract must hold at machine shapes other than the default:
-    // starved SRF bandwidth, slow memory clock, shallow stream buffers
-    // (the same shapes the event-horizon sweep pins down).
+    // starved SRF bandwidth, slow memory clock, shallow stream buffers.
     struct Shape
     {
         int srfBw;
@@ -348,37 +345,6 @@ TEST(PredecodeTest, ChaosBitIdentityAcrossEccModes)
         EXPECT_EQ(onArm[static_cast<size_t>(i)],
                   offArm[static_cast<size_t>(i)])
             << "chaos seed " << i << " (ECC mode " << i % 3 << ")";
-}
-
-// ---------------------------------------------------------------------
-// Escape hatch
-// ---------------------------------------------------------------------
-
-TEST(PredecodeTest, NoPredecodeEnvDisablesEngine)
-{
-    // IMAGINE_NO_PREDECODE forces the interpretive path regardless of
-    // the config, and the system's config view reflects it.
-    ::setenv("IMAGINE_NO_PREDECODE", "1", 1);
-    apps::AppResult hatched;
-    {
-        ImagineSystem sys(MachineConfig::devBoard());
-        EXPECT_FALSE(sys.config().predecode);
-        apps::QrdConfig qc;
-        qc.rows = 64;
-        qc.cols = 16;
-        hatched = apps::runQrd(sys, qc);
-    }
-    ::unsetenv("IMAGINE_NO_PREDECODE");
-    MachineConfig off = MachineConfig::devBoard();
-    off.predecode = false;
-    ImagineSystem sys(off);
-    EXPECT_FALSE(sys.config().predecode);
-    apps::QrdConfig qc;
-    qc.rows = 64;
-    qc.cols = 16;
-    apps::AppResult plain = apps::runQrd(sys, qc);
-    EXPECT_TRUE(hatched.validated);
-    EXPECT_EQ(hatched.run.toJson(), plain.run.toJson());
 }
 
 // ---------------------------------------------------------------------

@@ -262,7 +262,7 @@ TEST(ServiceProtocolTest, ValidatesRequests)
     Request r = parseRequest(
         "{\"op\":\"run\",\"workload\":\"qrd\",\"tenant\":\"t\","
         "\"weight\":2.5,\"seed\":7,\"deadlineMs\":100,"
-        "\"config\":{\"eventDriven\":false,\"faults.enabled\":true},"
+        "\"config\":{\"predecode\":false,\"faults.enabled\":true},"
         "\"params\":{\"rows\":64}}");
     EXPECT_EQ(r.op, Op::Run);
     EXPECT_EQ(r.run.workload, "qrd");
@@ -272,7 +272,7 @@ TEST(ServiceProtocolTest, ValidatesRequests)
     EXPECT_EQ(r.run.seed, 7u);
     EXPECT_EQ(r.run.config.faults.seed, 7u);
     EXPECT_EQ(r.run.deadlineMs, 100u);
-    EXPECT_FALSE(r.run.config.eventDriven);
+    EXPECT_FALSE(r.run.config.predecode);
     EXPECT_TRUE(r.run.config.faults.enabled);
 
     EXPECT_EQ(protocolErrorCode("not json"), "bad-request");
@@ -286,6 +286,15 @@ TEST(ServiceProtocolTest, ValidatesRequests)
                   "{\"op\":\"run\",\"workload\":\"qrd\","
                   "\"config\":{\"warpFactor\":9}}"),
               "bad-request");
+    // A removed engine knob is an unknown field like any other.
+    try {
+        parseRequest("{\"op\":\"run\",\"workload\":\"qrd\","
+                     "\"config\":{\"eventDriven\":false}}");
+        ADD_FAILURE() << "eventDriven override was accepted";
+    } catch (const ProtocolError &e) {
+        EXPECT_EQ(e.code, "bad-request");
+        EXPECT_STREQ(e.what(), "config: unknown field \"eventDriven\"");
+    }
     EXPECT_EQ(protocolErrorCode(
                   "{\"op\":\"run\",\"workload\":\"qrd\","
                   "\"weight\":0}"),

@@ -14,19 +14,18 @@
  *  - well-formedness of the raw buffers and the Perfetto export,
  *  - Fig. 12 cross-check: trace-derived utilization numerators agree
  *    with the counter-based ones within 1%, span coverage >= 95%,
- *  - identical analytics under every engine mode (eventDriven x
- *    predecode),
+ *  - identical analytics with predecode on and off,
  *  - graceful degradation when the event cap is hit.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hh"
+#include "service/json.hh"
 #include "trace/trace.hh"
 
 using namespace imagine;
@@ -42,25 +41,7 @@ stripTrace(const std::string &s)
     return i == std::string::npos ? s : s.substr(0, i) + "}";
 }
 
-/** Blank the "events" bookkeeping count inside the trace JSON.  The
- *  number of raw records is the one legitimate engine-mode difference:
- *  the fast-forward folds idle regions and issue buckets into fewer,
- *  longer spans, so the same timeline compresses differently. */
-std::string
-maskEventCount(std::string s)
-{
-    const std::string key = "\"events\":";
-    size_t i = s.find(key);
-    if (i == std::string::npos)
-        return s;
-    size_t j = i + key.size();
-    size_t k = j;
-    while (k < s.size() && s[k] >= '0' && s[k] <= '9')
-        ++k;
-    return s.replace(j, k - j, "#");
-}
-
-/** The small DEPTH shape the skip/chaos suites standardize on. */
+/** The small DEPTH shape the chaos suites standardize on. */
 apps::AppResult
 runDepthSmall(ImagineSystem &sys)
 {
@@ -103,147 +84,21 @@ allApps()
     return v;
 }
 
-// --- minimal JSON validator -------------------------------------------
-// A recursive-descent syntax check, deliberately dependency-free: the
-// exporter and the analytics serializer hand-build their JSON, so the
-// test must not trust them to parse their own output.
-
-class JsonChecker
+/** True when @p text parses as one JSON value.  The service parser is
+ *  independent of the hand-built writers under test (the exporter and
+ *  the analytics serializer), so they are never trusted to parse their
+ *  own output. */
+bool
+parses(const std::string &text)
 {
-  public:
-    explicit JsonChecker(const std::string &s) : s_(s) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size())
-            return false;
-        switch (s_[pos_]) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return literal("true");
-          case 'f': return literal("false");
-          case 'n': return literal("null");
-          default: return number();
-        }
-    }
-    bool
-    object()
-    {
-        ++pos_;     // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-    bool
-    array()
-    {
-        ++pos_;     // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-    bool
-    string()
-    {
-        if (peek() != '"')
-            return false;
-        ++pos_;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\')
-                ++pos_;
-            ++pos_;
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_;
+    try {
+        service::json::parse(text);
         return true;
+    } catch (const service::json::ParseError &e) {
+        ADD_FAILURE() << e.what();
+        return false;
     }
-    bool
-    number()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < s_.size() &&
-               (std::strchr("0123456789.eE+-", s_[pos_]) != nullptr))
-            ++pos_;
-        return pos_ > start;
-    }
-    bool
-    literal(const char *lit)
-    {
-        size_t n = std::strlen(lit);
-        if (s_.compare(pos_, n, lit) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-    char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t'))
-            ++pos_;
-    }
-
-    const std::string &s_;
-    size_t pos_ = 0;
-};
+}
 
 } // namespace
 
@@ -368,10 +223,10 @@ TEST(TraceTest, WellFormedPerfettoExport)
 
     // The Perfetto export and the analytics JSON must both parse.
     std::string perfetto = trace::toPerfettoJson(*sink);
-    EXPECT_TRUE(JsonChecker(perfetto).valid());
+    EXPECT_TRUE(parses(perfetto));
     ASSERT_NE(r.run.trace, nullptr);
-    EXPECT_TRUE(JsonChecker(r.run.trace->toJson()).valid());
-    EXPECT_TRUE(JsonChecker(r.run.toJson()).valid());
+    EXPECT_TRUE(parses(r.run.trace->toJson()));
+    EXPECT_TRUE(parses(r.run.toJson()));
 }
 
 // ---------------------------------------------------------------------
@@ -438,34 +293,23 @@ TEST(TraceTest, Fig12CrossCheckDepth)
 
 TEST(TraceTest, EngineModeDifferential)
 {
-    // The analytics must not depend on how the engine got through the
-    // timeline: per-cycle vs. event-horizon fast-forward, interpreted
-    // vs. pre-decoded kernels.  All four combinations must produce the
-    // same RunResult JSON including the embedded trace analytics (the
-    // raw record count is masked - see maskEventCount).
+    // The analytics must not depend on how the engine executed the
+    // kernels: interpreted and pre-decoded runs must produce the same
+    // RunResult JSON including the embedded trace analytics.
     std::vector<std::string> jsons;
-    std::vector<std::string> labels;
-    for (bool ed : {true, false}) {
-        for (bool pd : {true, false}) {
-            MachineConfig cfg = MachineConfig::devBoard();
-            cfg.trace = true;
-            cfg.eventDriven = ed;
-            cfg.predecode = pd;
-            ImagineSystem sys(cfg);
-            apps::AppResult r = runDepthSmall(sys);
-            EXPECT_TRUE(r.validated);
-            ASSERT_NE(r.run.trace, nullptr);
-            uint64_t busy = r.run.cluster.busyTotal();
-            EXPECT_GE(r.run.trace->clusterBusyCycles * 100, busy * 95);
-            jsons.push_back(maskEventCount(r.run.toJson()));
-            labels.push_back(std::string("eventDriven=") +
-                             (ed ? "1" : "0") + " predecode=" +
-                             (pd ? "1" : "0"));
-        }
+    for (bool pd : {true, false}) {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.trace = true;
+        cfg.predecode = pd;
+        ImagineSystem sys(cfg);
+        apps::AppResult r = runDepthSmall(sys);
+        EXPECT_TRUE(r.validated);
+        ASSERT_NE(r.run.trace, nullptr);
+        uint64_t busy = r.run.cluster.busyTotal();
+        EXPECT_GE(r.run.trace->clusterBusyCycles * 100, busy * 95);
+        jsons.push_back(r.run.toJson());
     }
-    for (size_t i = 1; i < jsons.size(); ++i)
-        EXPECT_EQ(jsons[i], jsons[0])
-            << labels[i] << " vs " << labels[0];
+    EXPECT_EQ(jsons[1], jsons[0]) << "predecode off vs on";
 }
 
 // ---------------------------------------------------------------------
@@ -496,7 +340,5 @@ TEST(TraceTest, CapDegradation)
     ASSERT_NE(rsmall.run.trace, nullptr);
     EXPECT_GT(rsmall.run.trace->dropped, 0u);
     // The capped export still parses.
-    EXPECT_TRUE(
-        JsonChecker(trace::toPerfettoJson(*smallSys.traceSink()))
-            .valid());
+    EXPECT_TRUE(parses(trace::toPerfettoJson(*smallSys.traceSink())));
 }
