@@ -10,8 +10,8 @@
  * every engine path with timing effect: the four apps on both machine
  * presets, DEPTH starved by a 0.5 MIPS host (scoreboard-full and
  * RegRead round trips), chaos seeds across the ECC modes (retry, stuck
- * completion, microcode-load retry), a sampled-fidelity fold and a
- * mid-run checkpoint restore.
+ * completion, microcode-load retry), sampled-fidelity folds of the
+ * three fold-stress shapes and a mid-run checkpoint restore.
  *
  * A pinned value changes only when simulated behaviour changes on
  * purpose; re-pin it in the same commit and say why.
@@ -183,6 +183,15 @@ cases()
     QrdConfig tallQrd;
     tallQrd.rows = 65536;
     tallQrd.cols = 16;
+    // The fold-stress shapes whose folded kernels overlap DMA, so the
+    // fold catch-up ticks memory, SRF and host through live transfers.
+    DepthConfig wideDepth;
+    wideDepth.width = 49152;
+    wideDepth.height = 18;
+    MpegConfig wideMpeg;
+    wideMpeg.width = 32768;
+    wideMpeg.height = 16;
+    wideMpeg.frames = 1;
 
     return {
         {"devBoard.depth", on(dev, depth()),
@@ -213,6 +222,10 @@ cases()
          0xa640b96922bb308eull, 289829},
         {"sampled.qrd65536x16", on(sampled, qrd(tallQrd)),
          0x182445c5aca6f04bull, 5417488},
+        {"sampled.depth49152x18", on(sampled, depth(wideDepth)),
+         0x3e2cfe0ac682f986ull, 4001638},
+        {"sampled.mpeg32768x16x1", on(sampled, mpeg(wideMpeg)),
+         0x2dfac876884bf765ull, 2536402},
         {"restored.devBoard.qrd", restoredQrd,
          0x46b419b9f918ecf5ull, 364474},
     };
@@ -253,7 +266,9 @@ TEST(Golden, RunResultsMatchPinnedHashes)
     EXPECT_GT(chaosTotal.retries, 0u);
     EXPECT_GT(chaosTotal.stuckCompletions, 0u);
     EXPECT_GT(chaosTotal.bySite[ucode], 0u);
-    EXPECT_GT(byName["sampled.qrd65536x16"]->kernelFolds, 0u);
+    for (const char *name : {"sampled.qrd65536x16", "sampled.depth49152x18",
+                             "sampled.mpeg32768x16x1"})
+        EXPECT_GT(byName[name]->kernelFolds, 0u) << name;
     // Restore is bit-identical to the straight run it resumes.
     EXPECT_EQ(byName["restored.devBoard.qrd"]->text,
               byName["devBoard.qrd"]->text);
