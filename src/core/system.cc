@@ -388,11 +388,10 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
             break;
         // --- sampled-fidelity fold (DESIGN.md section 12) --------------
         // The cluster loop sits on a fold-region arm: fold the region
-        // analytically, then advance the rest of the machine across the
-        // returned wall span with a bounded tick/idle-jump loop, so
-        // overlapped memory transfers and host issue progress by
-        // exactly the folded cycles.  This is the only consumer of the
-        // component horizons (DESIGN.md section 8).
+        // analytically, then tick the rest of the machine across the
+        // returned wall span, so overlapped memory transfers and host
+        // issue progress by exactly the folded cycles (DESIGN.md
+        // section 8).
         if (clusters_.foldArmed()) {
             if (trace_)
                 trace_->setNow(cycle_);
@@ -407,24 +406,6 @@ ImagineSystem::run(const StreamProgram &program, bool playback,
                 mem_.tick(cycle_);
                 srf_.tick();
                 ++cycle_;
-                Cycle now = cycle_ - 1;
-                // Cheapest-reject order: stop at the first horizon
-                // that is the very next cycle.
-                Cycle h = std::min(target, mem_.nextEventAfter(now));
-                if (h > cycle_)
-                    h = std::min(h, sc_.nextEventAfter(now));
-                if (h > cycle_)
-                    h = std::min(h, srf_.nextEventAfter(now));
-                if (h > cycle_)
-                    h = std::min(h, host_.nextEventAfter(now));
-                if (h <= cycle_)
-                    continue;
-                uint64_t idle = h - cycle_;
-                host_.skipIdle(cycle_, idle);
-                sc_.skipIdle(cycle_, idle);
-                mem_.skipIdle(cycle_, idle);
-                srf_.skipIdle(cycle_, idle);
-                cycle_ = h;
             }
             if (trace_)
                 trace_->mergeSpan(engineTrack_, foldFrom, cycle_,

@@ -103,46 +103,6 @@ HostProcessor::tick(Cycle now)
     ++next_;
 }
 
-Cycle
-HostProcessor::nextEventAfter(Cycle now) const
-{
-    if (!program_ || finished())
-        return kForever;
-    double cost = cfg_.hostCyclesPerInstr();
-    if (!playback_)
-        cost += cfg_.nonPlaybackHostOverheadCycles;
-
-    // While blocked every tick is a pure dependency-stall tick; the
-    // branch flips (and anything can happen) at blockedUntil_.
-    if (blockedUntil_ > now)
-        return blockedUntil_;
-
-    // The cycle at which the interface budget first covers the
-    // instruction, replaying tick()'s exact capped accumulation (budget
-    // grows by repeated `+1.0` under a min, which is not the same
-    // double as `+ span`).
-    auto sendCycle = [&]() -> Cycle {
-        double b = budget_;
-        Cycle j = 0;
-        do {
-            ++j;
-            b = std::min(b + 1.0, 2.0 * cost);
-        } while (b < cost);
-        return now + j;
-    };
-
-    const StreamInstr &si = program_->instrs[next_];
-    if (si.kind == StreamOpKind::RegRead) {
-        for (uint32_t d : si.deps)
-            if (!sc_.instrDone(d))
-                return kForever;    // woken by a retirement
-        return sendCycle();
-    }
-    if (sc_.scoreboardFull())
-        return kForever;            // woken by a slot freeing
-    return sendCycle();
-}
-
 void
 HostProcessor::saveState(ckpt::Serializer &s) const
 {
@@ -161,45 +121,6 @@ HostProcessor::loadState(ckpt::Deserializer &d)
     budget_ = d.f64();
     blockedUntil_ = d.u64();
     playback_ = d.b();
-}
-
-void
-HostProcessor::skipIdle(Cycle from, uint64_t span)
-{
-    if (!program_ || finished())
-        return;
-    double cost = cfg_.hostCyclesPerInstr();
-    if (!playback_)
-        cost += cfg_.nonPlaybackHostOverheadCycles;
-    bool blocked = blockedUntil_ > from;    // constant across the span
-    bool regRead =
-        program_->instrs[next_].kind == StreamOpKind::RegRead;
-
-    // Budget accumulates on every tick, including blocked ones.  Replay
-    // the capped `+1.0` steps until saturation (bit-exact; at most
-    // ~2*cost iterations), then bulk-account the rest.
-    uint64_t i = 0;
-    for (; i < span; ++i) {
-        budget_ = std::min(budget_ + 1.0, 2.0 * cost);
-        if (!blocked && !regRead) {
-            if (budget_ < cost)
-                ++stats_.interfaceBusyCycles;
-            else
-                ++stats_.scoreboardFullCycles;
-        }
-        if (budget_ == 2.0 * cost) {
-            ++i;
-            break;
-        }
-    }
-    if (uint64_t rest = span - i) {
-        if (!blocked && !regRead) {
-            // Saturated budget always covers cost.
-            stats_.scoreboardFullCycles += rest;
-        }
-    }
-    if (blocked)
-        stats_.dependencyStallCycles += span;
 }
 
 } // namespace imagine

@@ -66,8 +66,6 @@ class HostProcessor : public Component
     const char *componentName() const override { return "host"; }
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
-    Cycle nextEventAfter(Cycle now) const override;
-    void skipIdle(Cycle from, uint64_t span) override;
     void saveState(ckpt::Serializer &s) const override;
     void loadState(ckpt::Deserializer &d) override;
 

@@ -551,7 +551,6 @@ StreamController::tick(Cycle now)
     if (trace_)
         traceSlotStages();
     classifyIdle();
-    updateWake();
 }
 
 bool
@@ -625,40 +624,6 @@ StreamController::issueScan(Cycle now)
 }
 
 void
-StreamController::updateWake()
-{
-    // What the Waiting/NeedUcode slots contribute to nextEventAfter():
-    // a function of SC state, the clusters' busy flag and AG idleness
-    // only, so it holds until the next event.
-    wakeNext_ = wakeIssue_ = false;
-    const bool kernelBusy = kernelInFlight();
-    const bool agFree = freeAg() >= 0;
-
-    for (const Slot &s : slots_) {
-        if ((s.state != SlotState::Waiting &&
-             s.state != SlotState::NeedUcode) ||
-            !s.ready)
-            continue;   // a completion event precedes any issue
-        StreamOpKind k = s.instr->kind;
-        if (k == StreamOpKind::KernelExec || k == StreamOpKind::Restart) {
-            if (kernelBusy)
-                continue;   // the owner's completion event covers this
-            if (!ucodeResident(s.instr->kernelId)) {
-                // Waiting -> NeedUcode flip, or a load that can start;
-                // otherwise a load finish / AG release covers this.
-                if (s.state == SlotState::Waiting ||
-                    (ucodeLoadAg_ < 0 && agFree))
-                    wakeNext_ = true;
-                continue;
-            }
-        } else if (isMemOp(k) && !agFree) {
-            continue;   // an AG frees only via a completion event
-        }
-        wakeIssue_ = true;
-    }
-}
-
-void
 StreamController::traceSlotStages()
 {
     // Slot lifecycle state only moves inside ticks, so re-opening the
@@ -687,20 +652,6 @@ StreamController::traceSlotStages()
                          static_cast<uint64_t>(s.instr->kind));
         s.traceStage = stage;
     }
-}
-
-Cycle
-StreamController::nextEventAfter(Cycle now) const
-{
-    // An unprocessed event (enqueue, host retire, restore), a finished
-    // microcode load or a signalled completion is handled next tick.
-    if (eventPending_ || completionDue(now + 1) || wakeNext_)
-        return now + 1;
-    // The issuing slot dispatches (and a ready slot can issue) when the
-    // pipeline frees.
-    if (issueBusy_)
-        return std::max(now + 1, issueBusyUntil_);
-    return wakeIssue_ ? now + 1 : kForever;
 }
 
 namespace
@@ -878,7 +829,7 @@ StreamController::loadState(ckpt::Deserializer &d)
     ucodeRetries_ = d.i32();
     idleCause_ = static_cast<IdleCause>(d.u8());
     // Derived state: re-derive readiness and treat the restore as an
-    // event, so the next tick rebuilds the scan, idle cause and wake.
+    // event, so the next tick rebuilds the scan and idle cause.
     for (Slot &sl : slots_)
         sl.ready = depsSatisfied(sl);
     compactPending_ = false;

@@ -92,7 +92,6 @@ class StreamController : public Component
     const char *componentName() const override { return "sc"; }
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
-    Cycle nextEventAfter(Cycle now) const override;
     void saveState(ckpt::Serializer &s) const override;
     void loadState(ckpt::Deserializer &d) override;
 
@@ -177,8 +176,6 @@ class StreamController : public Component
     int freeAg() const;
     /** Oldest-eligible issue scan (issue pipeline free). */
     void issueScan(Cycle now);
-    /** Re-derive wakeNext_/wakeIssue_ from the current slot state. */
-    void updateWake();
     /**
      * A detected fault tainted this slot's result: re-issue it, or
      * throw an UnrecoveredFault SimError once the retry budget is
@@ -228,16 +225,13 @@ class StreamController : public Component
 
     IdleCause idleCause_ = IdleCause::Host;
 
-    // Event-driven tick state (DESIGN.md section 8).  The issue scan,
-    // classifyIdle() and the Waiting-slot part of nextEventAfter() only
-    // change value after an SC-visible event, so they run once per event
-    // instead of once per cycle; all of this is derived state, rebuilt
-    // by loadState() and never serialized.
+    // Event-driven tick state (DESIGN.md section 8).  The issue scan and
+    // classifyIdle() only change value after an SC-visible event, so
+    // they run once per event instead of once per cycle; all of this is
+    // derived state, rebuilt by loadState() and never serialized.
     bool eventPending_ = true;      ///< event outside tick(): enqueue etc.
     bool compactPending_ = false;   ///< a slot retired: compact slots_
     bool clustersBusy_ = false;     ///< clusters_.busy() at the last event
-    bool wakeNext_ = false;         ///< a Waiting slot acts next cycle
-    bool wakeIssue_ = false;        ///< ... once the issue pipeline frees
 
     /** Re-open a slot's stage span when its lifecycle state moved. */
     void traceSlotStages();

@@ -124,10 +124,12 @@ evalArithScalar(Word a, Word b, Word c)
         return intToWord(static_cast<int32_t>(wordToFloat(a)));
     else if constexpr (OP == Opcode::Itof)
         return floatToWord(static_cast<float>(wordToInt(a)));
+    // Integer add/sub/mul/abs wrap two's-complement like the hardware
+    // ALU; computing them on the unsigned Word keeps that defined.
     else if constexpr (OP == Opcode::Iadd)
-        return intToWord(wordToInt(a) + wordToInt(b));
+        return a + b;
     else if constexpr (OP == Opcode::Isub)
-        return intToWord(wordToInt(a) - wordToInt(b));
+        return a - b;
     else if constexpr (OP == Opcode::Iand)
         return a & b;
     else if constexpr (OP == Opcode::Ior)
@@ -153,7 +155,7 @@ evalArithScalar(Word a, Word b, Word c)
         return intToWord(wordToInt(a) > wordToInt(b) ? wordToInt(a)
                                                      : wordToInt(b));
     else if constexpr (OP == Opcode::Iabs)
-        return intToWord(wordToInt(a) < 0 ? -wordToInt(a) : wordToInt(a));
+        return wordToInt(a) < 0 ? 0u - a : a;
     else if constexpr (OP == Opcode::Select)
         return a ? b : c;
     else if constexpr (OP == Opcode::Mov)
@@ -186,15 +188,15 @@ evalArithScalar(Word a, Word b, Word c)
     else if constexpr (OP == Opcode::Fmul)
         return floatToWord(wordToFloat(a) * wordToFloat(b));
     else if constexpr (OP == Opcode::Imul)
-        return intToWord(wordToInt(a) * wordToInt(b));
+        return a * b;
     else if constexpr (OP == Opcode::Mul16x2)
         return map16(a, b, s16mul);
     else if constexpr (OP == Opcode::Dot16x2)
-        return intToWord(
-            static_cast<int32_t>(static_cast<int16_t>(sub16(a, 0))) *
-                static_cast<int16_t>(sub16(b, 0)) +
-            static_cast<int32_t>(static_cast<int16_t>(sub16(a, 1))) *
-                static_cast<int16_t>(sub16(b, 1)));
+        // Each product fits in int32; only their sum can wrap.
+        return intToWord(static_cast<int16_t>(sub16(a, 0)) *
+                         static_cast<int16_t>(sub16(b, 0))) +
+               intToWord(static_cast<int16_t>(sub16(a, 1)) *
+                         static_cast<int16_t>(sub16(b, 1)));
     else if constexpr (OP == Opcode::Fdiv)
         return floatToWord(wordToFloat(a) / wordToFloat(b));
     else if constexpr (OP == Opcode::Fsqrt)

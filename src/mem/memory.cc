@@ -600,51 +600,4 @@ MemorySystem::tick(Cycle now)
     }
 }
 
-Cycle
-MemorySystem::nextEventAfter(Cycle now) const
-{
-    // Only the sampled-fold catch-up queries horizons, and that tier
-    // never runs with a fault injector (DESIGN.md section 8), so armed
-    // AG-stall sites need no horizon of their own.
-    Cycle h = kForever;
-
-    // Channels act on core cycles that are memClockDivider multiples,
-    // once the data bus frees; the pick ignores bank.nextFreeMem (the
-    // dequeue stalls inside the bank instead), so bus + queue is the
-    // complete condition.
-    uint64_t div = static_cast<uint64_t>(cfg_.memClockDivider);
-    for (const Channel &ch : channels_) {
-        if (ch.queue.empty())
-            continue;
-        uint64_t mem = std::max(now / div + 1, ch.busNextFreeMem);
-        h = std::min(h, mem * div);
-    }
-
-    for (const AgState &st : ags_) {
-        if (!st.active)
-            continue;
-        if (!st.deliveries.empty())
-            h = std::min(h, std::max(now + 1, st.deliveries.top().ready));
-        if (st.nextElem >= st.length)
-            continue;
-        bool can;
-        if (st.sink)
-            can = st.nextElem - st.completed < 128;
-        else if (st.isLoad)
-            can = srf_.outCanAccept(st.dataClient, st.nextElem);
-        else
-            can = srf_.inReady(st.dataClient, st.nextElem);
-        if (can && st.indexed) {
-            uint32_t record = st.nextElem / st.mar.recordWords;
-            can = st.curRecord == record ||
-                  srf_.inReady(st.idxClient, record);
-        }
-        if (can)
-            return now + 1;
-        // Blocked generation resumes only after an SRF transfer or a
-        // delivery; both are covered by the horizons above.
-    }
-    return h;
-}
-
 } // namespace imagine

@@ -91,7 +91,6 @@ class MemorySystem : public Component
     const char *componentName() const override { return "mem"; }
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
-    Cycle nextEventAfter(Cycle now) const override;
     void saveState(ckpt::Serializer &s) const override;
     void loadState(ckpt::Deserializer &d) override;
 

@@ -31,9 +31,6 @@ class Serializer;
 class Deserializer;
 } // namespace ckpt
 
-/** Horizon value meaning "no self-generated event, ever". */
-inline constexpr Cycle kForever = ~Cycle(0);
-
 /** One hardware module of a session. */
 class Component
 {
@@ -48,34 +45,6 @@ class Component
     virtual void registerStats(StatsRegistry &reg) = 0;
     /** Zero all counters (does not touch architectural state). */
     virtual void resetStats() = 0;
-
-    // --- event horizon (DESIGN.md section 8) ---------------------------
-    // Queried only by the sampled-fidelity fold, which advances the
-    // rest of the machine across a folded cluster span.
-    /**
-     * Earliest cycle t > @p now at which this component's tick(t) can do
-     * anything beyond its linear idle effects (the per-cycle counter and
-     * cursor updates that skipIdle() folds), given that no other
-     * component changes shared state before t.  kForever when only an
-     * external event can wake the component.  @p now is the cycle most
-     * recently ticked.  Returning a too-early cycle costs performance
-     * only; returning a too-late cycle breaks cycle accuracy.
-     */
-    virtual Cycle nextEventAfter(Cycle now) const
-    {
-        return now + 1;
-    }
-    /**
-     * Fold the idle effects of @p span consecutive skipped ticks at
-     * cycles [@p from, @p from + @p span), exactly as if tick() had run
-     * for each.  Only called when every component's horizon clears the
-     * span.
-     */
-    virtual void skipIdle(Cycle from, uint64_t span)
-    {
-        (void)from;
-        (void)span;
-    }
 
     // --- checkpoint/restore (DESIGN.md section 11) ---------------------
     /**

@@ -606,16 +606,6 @@ Srf::tick()
         ++stats_.busyCycles;
 }
 
-Cycle
-Srf::nextEventAfter(Cycle now) const
-{
-    // The arbiter can move a word next tick iff some client has both
-    // demand and window space - precisely the movable count; everything
-    // else that changes a client (produce/consume/open/close) is driven
-    // by other components.
-    return movableCount_ > 0 ? now + 1 : kForever;
-}
-
 uint32_t
 Srf::clientTrack(size_t idx)
 {
@@ -624,15 +614,6 @@ Srf::clientTrack(size_t idx)
             trace::SrfComp,
             strfmt("client%zu", clientTracks_.size())));
     return clientTracks_[idx];
-}
-
-void
-Srf::skipIdle(Cycle, uint64_t span)
-{
-    // A tick with no movable word still advances the round-robin cursor
-    // (and transfers zero words); fold the cursor.
-    if (!clients_.empty())
-        rrNext_ = (rrNext_ + span) % clients_.size();
 }
 
 void

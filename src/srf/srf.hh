@@ -195,8 +195,6 @@ class Srf : public Component
     void tick(Cycle) override { tick(); }
     void registerStats(StatsRegistry &reg) override;
     void resetStats() override { stats_ = {}; }
-    Cycle nextEventAfter(Cycle now) const override;
-    void skipIdle(Cycle from, uint64_t span) override;
     void saveState(ckpt::Serializer &s) const override;
     void loadState(ckpt::Deserializer &d) override;
 
@@ -239,7 +237,7 @@ class Srf : public Component
          * Cached arbiter eligibility: the client has both demand and
          * window space, i.e. tick() could move a word for it.  Kept
          * exact by updateMovable() at every state mutation so the
-         * idle-tick fast path and the O(1) horizon never scan.
+         * idle-tick fast path never scans.
          */
         bool movable = false;
     };

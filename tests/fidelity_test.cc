@@ -18,8 +18,6 @@
  *    family at trip 4096, pinning the measured error to the bound,
  *  - zero-trip and short-loop (trip <= 2048) bit-identity fallbacks,
  *  - a full-system fidelity x predecode matrix,
- *  - idle memory/SRF horizons reporting kForever (the fold catch-up
- *    loop's jump condition),
  *  - faults / periodic checkpoints forcing full fidelity,
  *  - toJson() schema stability across the four applications,
  *  - trace re-arm after restore: a restored traced run's tail
@@ -362,7 +360,9 @@ TEST(FidelityTest, EngineModeMatrixLongLoop)
     // with no "fidelity" key; the two Sampled arms must be
     // byte-identical to each other (the fold replays through the same
     // value buffers both engines maintain) and within the declared
-    // error bound of the Cycle arms.
+    // error bound of the Cycle arms.  Each Sampled arm also runs
+    // traced: the fold catch-up moves the trace clock every cycle, and
+    // tracing must not change what it observes.
     std::vector<std::string> cycleJson, sampledJson;
     uint64_t exactCycles = 0;
     RunResult sampledRes;
@@ -372,13 +372,32 @@ TEST(FidelityTest, EngineModeMatrixLongLoop)
             cfg.predecode = pd;
             cfg.fidelity = fi ? Fidelity::Sampled : Fidelity::Cycle;
             RunResult r = runLongLoop(cfg);
-            if (fi) {
-                sampledJson.push_back(r.toJson());
-                sampledRes = r;
-            } else {
+            if (!fi) {
                 cycleJson.push_back(r.toJson());
                 exactCycles = r.cycles;
+                continue;
             }
+            sampledJson.push_back(r.toJson());
+            sampledRes = r;
+
+            cfg.trace = true;
+            ImagineSystem *raw = nullptr;
+            RunResult traced = runLongLoop(cfg, &raw);
+            std::unique_ptr<ImagineSystem> tracedSys(raw);
+            // Trace-off output is the exact prefix of trace-on output,
+            // up to the closing brace the trace block goes in front of.
+            std::string head = sampledJson.back();
+            head.pop_back();
+            std::string on = traced.toJson();
+            EXPECT_EQ(on.compare(0, head.size(), head), 0)
+                << "predecode " << pd;
+            EXPECT_EQ(on.compare(head.size(), 9, ",\"trace\":"), 0)
+                << "predecode " << pd;
+            ASSERT_NE(tracedSys->traceSink(), nullptr);
+            EXPECT_NE(trace::toPerfettoJson(*tracedSys->traceSink())
+                          .find("\"sampled-fold\""),
+                      std::string::npos)
+                << "predecode " << pd;
         }
     }
     for (const std::string &j : cycleJson) {
@@ -406,27 +425,6 @@ TEST(FidelityTest, EngineModeMatrixLongLoop)
         << "sampled " << sampledRes.cycles << " vs exact "
         << exactCycles;
     EXPECT_LT(err, 0.02);
-}
-
-TEST(FidelityTest, IdleComponentsReportForever)
-{
-    // The fold catch-up loop jumps only across spans every non-cluster
-    // component declares idle.  Nothing staged, nothing running: no
-    // component can self-generate an event, at any query cycle.
-    ImagineSystem sys(MachineConfig::devBoard());
-    for (Cycle now : {Cycle(0), Cycle(1), Cycle(1000)}) {
-        EXPECT_EQ(sys.memorySystem().nextEventAfter(now), kForever);
-        EXPECT_EQ(sys.srf().nextEventAfter(now), kForever);
-    }
-    // And after a real program ran to completion, all quiet again.
-    auto b = sys.newProgram();
-    uint32_t off = b.alloc(64);
-    b.load(b.marStride(0), b.sdr(off, 64), -1, "warm");
-    StreamProgram prog = b.take();
-    sys.run(prog);
-    Cycle now = sys.now();
-    EXPECT_EQ(sys.memorySystem().nextEventAfter(now), kForever);
-    EXPECT_EQ(sys.srf().nextEventAfter(now), kForever);
 }
 
 TEST(FidelityTest, FaultsForceFullFidelity)

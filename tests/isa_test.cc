@@ -143,6 +143,17 @@ TEST(EvalTest, IntegerArithmetic)
     EXPECT_EQ(wordToInt(eval2(Opcode::Imin, intToWord(-7), intToWord(2))),
               -7);
     EXPECT_EQ(wordToInt(eval1(Opcode::Iabs, intToWord(-9))), 9);
+
+    // Overflow wraps two's-complement, like the hardware ALU.
+    const Word intMax = 0x7fffffffu, intMin = 0x80000000u;
+    EXPECT_EQ(eval2(Opcode::Iadd, intMax, 1), intMin);
+    EXPECT_EQ(eval2(Opcode::Iadd, intMin, intToWord(-1)), intMax);
+    EXPECT_EQ(eval2(Opcode::Isub, intMin, 1), intMax);
+    EXPECT_EQ(eval2(Opcode::Isub, intMax, intToWord(-1)), intMin);
+    EXPECT_EQ(eval2(Opcode::Imul, 0x10000u, 0x10000u), 0u);
+    EXPECT_EQ(eval2(Opcode::Imul, intMax, 2), 0xfffffffeu);
+    EXPECT_EQ(eval2(Opcode::Imul, intMin, intToWord(-1)), intMin);
+    EXPECT_EQ(eval1(Opcode::Iabs, intMin), intMin);
 }
 
 TEST(EvalTest, Select)
@@ -175,6 +186,12 @@ TEST(EvalTest, Dot16x2)
     Word b = pack16(7, static_cast<uint16_t>(-4));
     // -3*7 + 2*(-4) = -29
     EXPECT_EQ(wordToInt(eval2(Opcode::Dot16x2, a, b)), -29);
+
+    // (-32768)^2 + (-32768)^2 = 2^31 wraps to INT_MIN.
+    Word m = pack16(0x8000, 0x8000);
+    EXPECT_EQ(eval2(Opcode::Dot16x2, m, m), 0x80000000u);
+    // One product alone fits: (-32768)^2 + 0 = 2^30.
+    EXPECT_EQ(eval2(Opcode::Dot16x2, m, pack16(0x8000, 0)), 0x40000000u);
 }
 
 TEST(EvalTest, Packed8)

@@ -82,20 +82,12 @@ struct ClusterRig
         while (!ca.done()) {
             if (ca.foldArmed()) {
                 // Sampled fidelity (enabled via ca.setSampling): fold
-                // the armed region and advance the SRF across the
-                // folded span (idle arbiter ticks are O(1)).
+                // the armed region and tick the SRF across the folded
+                // span (idle arbiter ticks are O(1)).
                 uint64_t span = ca.executeFold();
                 cycles += span;
-                // Advance the SRF across the folded span with idle
-                // jumps: ticks with no movable word are foldable.
-                for (uint64_t i = 0; i < span;) {
-                    if (srf.nextEventAfter(0) == kForever) {
-                        srf.skipIdle(0, span - i);
-                        break;
-                    }
+                for (uint64_t i = 0; i < span; ++i)
                     srf.tick();
-                    ++i;
-                }
                 continue;
             }
             ca.tick();
