@@ -3,11 +3,16 @@
  * Tests for the cluster-array execution engine: functional correctness
  * of every op class under software pipelining, SIMD/COMM semantics,
  * conditional streams, restart carry-over, timing sanity, zero-trip
- * launches of every app kernel family, and a differential property test
- * against a reference interpreter.
+ * launches of every app kernel family, pinned cross-commit goldens of
+ * every app kernel family (also checked against the reference
+ * interpreter), bind-cache LRU behaviour, and a differential property
+ * test against a reference interpreter.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "app_kernels.hh"
 #include "sim_test_util.hh"
@@ -366,6 +371,243 @@ TEST(ClusterTest, ZeroTripEveryAppKernel)
         EXPECT_EQ(rig.ca.stats().prologueCycles, 0u) << name;
         EXPECT_EQ(rig.ca.stats().epilogueCycles, 0u) << name;
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned rig goldens: every kernel family, outputs + cycles + counters.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a over the little-endian bytes of a sequence of words. */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    void add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** Hash of everything observable about one standalone rig run. */
+uint64_t
+rigHash(const ClusterRig &rig,
+        const std::vector<std::vector<Word>> &out)
+{
+    Fnv1a f;
+    f.add(out.size());
+    for (const auto &o : out) {
+        f.add(o.size());
+        for (Word w : o)
+            f.add(w);
+    }
+    const ClusterStats &cs = rig.ca.stats();
+    const SrfStats &ss = rig.srf.stats();
+    for (uint64_t v :
+         {rig.cycles, cs.busyTotal(), cs.prologueCycles, cs.loopCycles,
+          cs.epilogueCycles, cs.stallCycles, cs.primingCycles,
+          cs.issuedOps, cs.arithOps, cs.fpOps, cs.lrfReads, cs.lrfWrites,
+          cs.spAccesses, cs.commWords, cs.sbReads, cs.sbWrites,
+          ss.wordsTransferred, ss.busyCycles})
+        f.add(v);
+    return f.h;
+}
+
+/** Bounded input pattern: plausible 8/16-bit pixels for packed kernels,
+ *  denormals rather than NaN-adjacent garbage for float kernels. */
+std::vector<std::vector<Word>>
+patternInputs(const CompiledKernel &k, uint32_t trip)
+{
+    std::vector<std::vector<Word>> inputs;
+    for (int s = 0; s < k.graph.numInStreams; ++s) {
+        std::vector<Word> data(trip *
+                               static_cast<uint32_t>(k.graph.inRec[s]) *
+                               numClusters);
+        for (uint32_t i = 0; i < data.size(); ++i)
+            data[i] = (i * 37u + static_cast<uint32_t>(s) * 11u) % 251u;
+        inputs.push_back(std::move(data));
+    }
+    return inputs;
+}
+
+bool
+usesScratchpad(const KernelGraph &g)
+{
+    for (const Node &n : g.nodes)
+        if (n.op == Opcode::SpRd || n.op == Opcode::SpWr)
+            return true;
+    return false;
+}
+
+} // namespace
+
+TEST(ClusterTest, RigGoldensEveryAppKernel)
+{
+    // Cross-commit pins for the kernel engine: one FNV-1a hash per run
+    // over outputs, cycles and every cluster/SRF counter.  A pin moves
+    // only when kernel timing or results change on purpose; re-pin in
+    // the same commit and say why.  Outputs are also checked against
+    // the reference interpreter wherever it applies (it does not model
+    // the scratchpad).
+    const std::map<std::string, uint64_t> pinned = {
+        {"conv7x7", 0xe9a062bee56ddeefull},
+        {"conv3x3", 0x372cb42d214acc74ull},
+        {"blockSad7x7", 0x28d26c27657a27adull},
+        {"sadUpdate", 0x5a2f22c559901eecull},
+        {"sadSearch", 0x11e5e17bebc6e653ull},
+        {"blockSearch", 0x3b57a816399f2516ull},
+        {"colorConv", 0xe27b05e306a684d0ull},
+        {"dct8x8", 0x7a13de4c7a50b7b0ull},
+        {"idct8x8", 0x7aa65724847a2386ull},
+        {"quantize", 0x27064833673facf5ull},
+        {"dequantize", 0xee4f68028cf86b26ull},
+        {"zigzag", 0xf8332b5f7691ae91ull},
+        {"rle", 0x9d5875a299a12d6dull},
+        {"pixSub", 0x4974d93ffdefe888ull},
+        {"pixAddClamp", 0xd7e7ef20bea206e5ull},
+        {"addClamp", 0x95daaf8acb6fb1a5ull},
+        {"mcIndex", 0x67a1f16f0b7296f6ull},
+        {"house", 0x1aa20d644d2f0706ull},
+        {"houseApply", 0xc17965270c48b892ull},
+        {"houseApply2", 0xc061ec8680929cf1ull},
+        {"panelDot", 0x97015eb3754a0a60ull},
+        {"panelAxpy", 0x4de1f361d533e27cull},
+        {"panelAxpyDots", 0x674f60a88af58ccdull},
+        {"extractColumn", 0x970573a95e894f40ull},
+        {"vertexTransform", 0x537441ed22b264c0ull},
+        {"cullTriangles", 0x4046f705b3727839ull},
+        {"rasterize", 0x260198d69be21fbdull},
+        {"shadeFragments", 0xfaf192d48f8e5128ull},
+        {"zCompare", 0xcfc8e564dfc67960ull},
+        {"peakFlops", 0x7044a304442b0ee6ull},
+        {"peakOps", 0x865acac40b71ee62ull},
+        {"commSort32", 0xcf4743ea634224abull},
+        {"srfCopy", 0xdba7584fcbd132e0ull},
+        {"streamLength", 0xdfde69fe0105dacdull},
+        {"gromacsForce", 0x00a03f953a522013ull},
+    };
+    MachineConfig cfg;
+    const uint32_t trip = 12;
+    size_t refChecked = 0, families = 0;
+    for (auto &[name, graph] : allAppKernels()) {
+        ++families;
+        KernelGraph g = graph;
+        CompiledKernel k = compile(std::move(graph), cfg);
+        std::vector<std::vector<Word>> inputs = patternInputs(k, trip);
+        ClusterRig rig(cfg);
+        std::vector<std::vector<Word>> out = rig.run(k, inputs);
+        auto pin = pinned.find(name);
+        ASSERT_NE(pin, pinned.end()) << name;
+        EXPECT_EQ(rigHash(rig, out), pin->second)
+            << name << " cycles " << rig.cycles;
+        if (usesScratchpad(g))
+            continue;
+        ++refChecked;
+        EXPECT_EQ(out, ReferenceInterp(g, inputs, trip).run()) << name;
+    }
+    EXPECT_EQ(families, 35u);
+    EXPECT_EQ(refChecked, 33u);
+
+    // Starved SRF bandwidth: the loop stalls every few iterations, so
+    // stream-readiness gating (including the priming/draining stage
+    // filter) runs on every bucket, not just at steady state.
+    MachineConfig starved;
+    starved.srfBandwidthWordsPerCycle = 2;
+    starved.streamBufferWords = 8;
+    CompiledKernel k = compile(imagine::kernels::dct8x8(), starved);
+    std::vector<std::vector<Word>> inputs = patternInputs(k, 16);
+    ClusterRig rig(starved);
+    std::vector<std::vector<Word>> out = rig.run(k, inputs);
+    EXPECT_GT(rig.ca.stats().stallCycles, 0u);
+    EXPECT_EQ(rigHash(rig, out), 0xb52a7d35296a87e8ull)
+        << "dct8x8 starved, cycles " << rig.cycles;
+    EXPECT_EQ(out, ReferenceInterp(k.graph, inputs, 16).run());
+}
+
+// ---------------------------------------------------------------------
+// Bind-cache LRU
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+CompiledKernel
+scaleKernel(const MachineConfig &cfg, const char *name, int scale)
+{
+    KernelBuilder kb(name);
+    int s = kb.addInput();
+    int o = kb.addOutput();
+    kb.beginLoop();
+    Val v = kb.read(s);
+    kb.write(o, kb.iadd(v, kb.immI(scale)));
+    kb.endLoop();
+    return compile(kb.finish(), cfg);
+}
+
+} // namespace
+
+TEST(ClusterTest, BindCacheLruEviction)
+{
+    // Cap the bind cache at two kernels and launch three distinct ones:
+    // the least-recently-used entry must go, the peak stat must stop at
+    // the cap, and a re-launch of the evicted kernel must still produce
+    // correct output (it simply rebinds from scratch).
+    MachineConfig cfg;
+    cfg.clusterBindCacheKernels = 2;
+    ClusterRig rig(cfg);
+    CompiledKernel k1 = scaleKernel(cfg, "scale1", 100);
+    CompiledKernel k2 = scaleKernel(cfg, "scale2", 200);
+    CompiledKernel k3 = scaleKernel(cfg, "scale3", 300);
+
+    const uint32_t trip = 4;
+    std::vector<Word> in(trip * numClusters);
+    for (uint32_t i = 0; i < in.size(); ++i)
+        in[i] = i;
+    auto check = [&](const CompiledKernel &k, Word bias) {
+        std::vector<std::vector<Word>> out = rig.run(k, {in});
+        ASSERT_EQ(out.size(), 1u);
+        ASSERT_EQ(out[0].size(), in.size());
+        for (uint32_t i = 0; i < in.size(); ++i)
+            EXPECT_EQ(out[0][i], in[i] + bias) << k.name();
+    };
+
+    check(k1, 100);
+    check(k2, 200);
+    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 2u);
+    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 0u);
+    check(k3, 300);             // evicts k1 (LRU)
+    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 2u);
+    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 1u);
+    check(k2, 200);             // still cached: no new eviction
+    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 1u);
+    check(k1, 100);             // rebinds, evicting the LRU (k3)
+    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 2u);
+    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 2u);
+}
+
+TEST(ClusterTest, BindCacheUncappedKeepsAllKernels)
+{
+    // At the default (generous) cap no eviction should ever fire for a
+    // handful of kernels, and the peak tracks the distinct-kernel count.
+    MachineConfig cfg;
+    ClusterRig rig(cfg);
+    const uint32_t trip = 2;
+    std::vector<Word> in(trip * numClusters, 5);
+    std::vector<CompiledKernel> ks;
+    for (int i = 0; i < 6; ++i) {
+        ks.push_back(scaleKernel(
+            cfg, ("k" + std::to_string(i)).c_str(), i));
+    }
+    for (const CompiledKernel &k : ks)
+        rig.run(k, {in});
+    for (const CompiledKernel &k : ks)
+        rig.run(k, {in});       // second pass: every bind is a hit
+    EXPECT_EQ(rig.ca.stats().bindCachePeakKernels, 6u);
+    EXPECT_EQ(rig.ca.stats().bindCacheEvictions, 0u);
 }
 
 // ---------------------------------------------------------------------

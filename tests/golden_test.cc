@@ -10,8 +10,10 @@
  * every engine path with timing effect: the four apps on both machine
  * presets, DEPTH starved by a 0.5 MIPS host (scoreboard-full and
  * RegRead round trips), chaos seeds across the ECC modes (retry, stuck
- * completion, microcode-load retry), sampled-fidelity folds of the
- * three fold-stress shapes and a mid-run checkpoint restore.
+ * completion, microcode-load retry), a 30-seed small-DEPTH chaos
+ * campaign, small DEPTH on three starved machine shapes,
+ * sampled-fidelity folds of the three fold-stress shapes and a mid-run
+ * checkpoint restore.
  *
  * A pinned value changes only when simulated behaviour changes on
  * purpose; re-pin it in the same commit and say why.
@@ -124,6 +126,42 @@ chaos(uint64_t seed, EccMode ecc)
     return cfg;
 }
 
+/** The i-th of 30 small-DEPTH chaos runs, cycling Secded / Parity /
+ *  None: the full result JSON on a clean or invalid finish, or the
+ *  deterministic error text. */
+std::string
+chaosDepthFingerprint(int i, uint64_t &cycles)
+{
+    MachineConfig cfg =
+        chaos(0x9de2ull * 1000 + static_cast<uint64_t>(i),
+              i % 3 == 0 ? EccMode::Secded
+                         : i % 3 == 1 ? EccMode::Parity : EccMode::None);
+    ImagineSystem sys(cfg);
+    DepthConfig dc;
+    dc.width = 128;
+    dc.height = 42;
+    dc.disparities = 4;
+    try {
+        AppResult r = runDepth(sys, dc);
+        cycles += r.run.cycles;
+        return std::string(r.validated ? "ok:" : "invalid:") +
+               r.run.toJson();
+    } catch (const SimError &e) {
+        cycles += sys.now();
+        return std::string("error:") + e.what();
+    }
+}
+
+/** All 30 chaos fingerprints concatenated; cycles summed. */
+Outcome
+chaosDepth30()
+{
+    Outcome o;
+    for (int i = 0; i < 30; ++i)
+        o.text += chaosDepthFingerprint(i, o.cycles);
+    return o;
+}
+
 /** QRD on the dev board, restored from a snapshot taken mid-run. */
 Outcome
 restoredQrd()
@@ -192,6 +230,19 @@ cases()
     wideMpeg.width = 32768;
     wideMpeg.height = 16;
     wideMpeg.frames = 1;
+    // Small DEPTH on shapes other than the default: starved SRF
+    // bandwidth, slow memory clock, shallow stream buffers.
+    DepthConfig smallDepth;
+    smallDepth.width = 128;
+    smallDepth.height = 42;
+    smallDepth.disparities = 4;
+    auto shape = [&dev](int srfBw, int memDiv, int sbWords) {
+        MachineConfig cfg = dev;
+        cfg.srfBandwidthWordsPerCycle = srfBw;
+        cfg.memClockDivider = memDiv;
+        cfg.streamBufferWords = sbWords;
+        return cfg;
+    };
 
     return {
         {"devBoard.depth", on(dev, depth()),
@@ -226,6 +277,17 @@ cases()
          0x3e2cfe0ac682f986ull, 4001638},
         {"sampled.mpeg32768x16x1", on(sampled, mpeg(wideMpeg)),
          0x2dfac876884bf765ull, 2536402},
+        {"sweep.srfBw4.memDiv2.sb16",
+         on(shape(4, 2, 16), depth(smallDepth)),
+         0x2ae15c90ed3e1fa1ull, 145222},
+        {"sweep.srfBw16.memDiv4.sb16",
+         on(shape(16, 4, 16), depth(smallDepth)),
+         0x20003b1b7ef861b3ull, 145278},
+        {"sweep.srfBw8.memDiv3.sb8",
+         on(shape(8, 3, 8), depth(smallDepth)),
+         0x2e952b359bff64faull, 145250},
+        {"chaos.depth.30seeds", chaosDepth30,
+         0x7838c64e4e808441ull, 5881647},
         {"restored.devBoard.qrd", restoredQrd,
          0x46b419b9f918ecf5ull, 364474},
     };
