@@ -4,8 +4,6 @@
  * the engine's A/B axes and reports simulated cycles per wall-clock
  * second for each mode, plus the speedups:
  *
- *  - predecode on vs off (the pre-decoded micro-op engine +
- *    SRF block transfers, DESIGN.md section 9) - the headline;
  *  - tracing on vs off (DESIGN.md section 10) - an overhead axis:
  *    the speedup is expected to sit below 1.0 and quantifies what a
  *    traced run costs;
@@ -22,8 +20,8 @@
  * writes BENCH_throughput.json (or the given path) with one entry per
  * app per axis, plus the host context (cores, compiler, build type)
  * the numbers were taken on.  Simulated cycle counts must be identical
- * across the predecode and trace arms - neither knob changes the
- * model - and the bench fails (exit 1) if they ever differ.
+ * across the trace arms - tracing does not change the model - and the
+ * bench fails (exit 1) if they ever differ.
  */
 
 #include <cmath>
@@ -48,10 +46,9 @@ struct Timed
 };
 
 Timed
-runApp(const char *name, bool predecode, bool traceOn = false)
+runApp(const char *name, bool traceOn)
 {
     MachineConfig mc = MachineConfig::devBoard();
-    mc.predecode = predecode;
     mc.trace = traceOn;
     ImagineSystem sys(mc);
     Timed t;
@@ -85,17 +82,14 @@ struct AxisResult
 };
 
 /**
- * Measure the four apps with @p knob on vs off; @p configure applies
- * the knob value on top of the baseline (all engine knobs on).
- * Wall time is measured inside the engine's cycle loop only
- * (ImagineSystem::runWallSeconds), so kernel compilation, input
- * staging and golden-model validation - identical in both modes and
- * unaffected by either optimization - do not dilute the comparison.
- * Best-of-3 alternating reps reject scheduler noise.
+ * Measure the four apps with tracing on vs off.  Wall time is measured
+ * inside the engine's cycle loop only (ImagineSystem::runWallSeconds),
+ * so kernel compilation, input staging and golden-model validation -
+ * identical in both modes - do not dilute the comparison.  Best-of-3
+ * alternating reps reject scheduler noise.
  */
 AxisResult
-measureAxis(const char *onKey, const char *offKey,
-            Timed (*run)(const char *, bool))
+measureTraceAxis()
 {
     const char *apps[] = {"depth", "mpeg", "qrd", "rtsl"};
     AxisResult r;
@@ -103,13 +97,13 @@ measureAxis(const char *onKey, const char *offKey,
     double logSum = 0.0;
     int n = 0;
     for (const char *name : apps) {
-        Timed on = run(name, true);
-        Timed off = run(name, false);
+        Timed on = runApp(name, true);
+        Timed off = runApp(name, false);
         double wallOn = on.loopSeconds;
         double wallOff = off.loopSeconds;
         for (int rep = 1; rep < 3; ++rep) {
-            wallOn = std::min(wallOn, run(name, true).loopSeconds);
-            wallOff = std::min(wallOff, run(name, false).loopSeconds);
+            wallOn = std::min(wallOn, runApp(name, true).loopSeconds);
+            wallOff = std::min(wallOff, runApp(name, false).loopSeconds);
         }
         double speedup = wallOn > 0.0 ? wallOff / wallOn : 0.0;
         bool identical = on.app.run.cycles == off.app.run.cycles &&
@@ -118,11 +112,11 @@ measureAxis(const char *onKey, const char *offKey,
         logSum += std::log(speedup);
         ++n;
 
-        std::printf("%-6s cycles=%-12llu %s=%.3fs %s=%.3fs "
+        std::printf("%-6s cycles=%-12llu TraceOn=%.3fs TraceOff=%.3fs "
                     "cps=%.3gM speedup=%.2fx%s\n",
                     name,
                     static_cast<unsigned long long>(on.app.run.cycles),
-                    onKey, wallOn, offKey, wallOff,
+                    wallOn, wallOff,
                     static_cast<double>(on.app.run.cycles) / wallOn /
                         1e6,
                     speedup, identical ? "" : "  CYCLE MISMATCH");
@@ -131,11 +125,10 @@ measureAxis(const char *onKey, const char *offKey,
             r.json += ',';
         r.json += strfmt(
             "{\"name\":\"%s\",\"cycles\":%llu,"
-            "\"loopSeconds%s\":%.6f,\"loopSeconds%s\":%.6f,"
+            "\"loopSecondsTraceOn\":%.6f,\"loopSecondsTraceOff\":%.6f,"
             "\"speedup\":%.17g,\"identicalCycles\":%s}",
             name, static_cast<unsigned long long>(on.app.run.cycles),
-            onKey, wallOn, offKey, wallOff, speedup,
-            identical ? "true" : "false");
+            wallOn, wallOff, speedup, identical ? "true" : "false");
     }
     r.geomean = std::exp(logSum / n);
     r.json += ']';
@@ -151,7 +144,6 @@ Timed
 runFidelityApp(int app, bool sampled)
 {
     MachineConfig mc = MachineConfig::devBoard();
-    mc.predecode = true;
     mc.srfSizeWords = 4u * 1024 * 1024;    // room for the long streams
     mc.fidelity = sampled ? Fidelity::Sampled : Fidelity::Cycle;
     ImagineSystem sys(mc);
@@ -241,18 +233,10 @@ main(int argc, char **argv)
     // Warm the process-wide kernel compile + lowering caches so no
     // timed mode pays first-compile cost.
     for (const char *name : {"depth", "mpeg", "qrd", "rtsl"})
-        runApp(name, true);
+        runApp(name, false);
 
-    std::printf("-- predecode on vs off --\n");
-    AxisResult pre = measureAxis(
-        "PredecodeOn", "PredecodeOff",
-        [](const char *name, bool on) { return runApp(name, on); });
-    std::printf("predecode geomean speedup %.2fx\n\n", pre.geomean);
-
-    std::printf("-- trace on vs off (predecode on) --\n");
-    AxisResult trc = measureAxis(
-        "TraceOn", "TraceOff",
-        [](const char *name, bool on) { return runApp(name, true, on); });
+    std::printf("-- trace on vs off --\n");
+    AxisResult trc = measureTraceAxis();
     std::printf("trace geomean speedup %.2fx (overhead %.1f%%)\n\n",
                 trc.geomean,
                 trc.geomean > 0.0 ? 100.0 * (1.0 / trc.geomean - 1.0)
@@ -276,12 +260,11 @@ main(int argc, char **argv)
     std::string json = strfmt(
         "{\"host\":{\"hardwareThreads\":%u,\"compiler\":\"%s\","
         "\"buildType\":\"%s\",\"sampleLoopFraction\":%.17g},"
-        "\"predecodeAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g},"
         "\"traceAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g},"
         "\"fidelityAB\":{\"apps\":%s,\"geomeanSpeedup\":%.17g}}",
         std::thread::hardware_concurrency(), compiler,
         IMAGINE_BUILD_TYPE, MachineConfig::devBoard().sampleLoopFraction,
-        pre.json.c_str(), pre.geomean, trc.json.c_str(), trc.geomean,
+        trc.json.c_str(), trc.geomean,
         fid.json.c_str(), fid.geomean);
 
     if (FILE *f = std::fopen(outPath, "w")) {
@@ -292,5 +275,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "perf_smoke: cannot write %s\n", outPath);
         return 1;
     }
-    return pre.ok && trc.ok && fid.ok ? 0 : 1;
+    return trc.ok && fid.ok ? 0 : 1;
 }

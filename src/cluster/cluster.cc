@@ -142,7 +142,7 @@ ClusterArray::start(const CompiledKernel *k, std::vector<Binding> ins,
         // loop invariants.  A back-to-back restart of the same kernel
         // keeps them live instead.
         values_.assign(static_cast<size_t>(k->graph.nodes.size()) *
-                           depth_ * numClusters,
+                           low_->depth * numClusters,
                        0);
     }
     if (!restart_)
@@ -174,19 +174,16 @@ ClusterArray::bindDerived()
 {
     const CompiledKernel *k = kernel_;
 
-    // Value buffers sized for the deepest software-pipeline overlap.
-    uint32_t need = static_cast<uint32_t>(k->loop.stages()) + 2;
-    depth_ = 1;
-    while (depth_ < need)
-        depth_ <<= 1;
+    // Bind the pre-decoded micro-op trace, shared process-wide through
+    // the compile cache.
+    if (!curBind_->lowered)
+        curBind_->lowered = kernelc::CompileCache::instance().lowered(*k);
+    low_ = curBind_->lowered.get();
+    epiRowSlot_ = trip_ > 0 ? (trip_ - 1) & low_->mask : 0;
 
-    // Issue buckets by cycle-mod-II for the main loop.
-    loopBuckets_.assign(std::max(k->loop.ii, 1), {});
     uint64_t span = 0;
     uint64_t minTime = UINT64_MAX;
     for (const ScheduledOp &s : k->loop.ops) {
-        loopBuckets_[static_cast<size_t>(s.time) % k->loop.ii]
-            .push_back(s);
         span = std::max<uint64_t>(span, static_cast<uint64_t>(s.time) + 1);
         minTime = std::min<uint64_t>(minTime,
                                      static_cast<uint64_t>(s.time));
@@ -200,19 +197,9 @@ ClusterArray::bindDerived()
                      ? 0
                      : (static_cast<uint64_t>(trip_) - 1) * k->loop.ii +
                            kernel_->loop.length;
-    // Steady-state fast path: once every op is past its first issue
+    // Steady state: once every op is past its first issue
     // (t >= span - 1) and before any op's final iteration expires
-    // (t < minTime + trip * ii), collectLoopOps keeps the whole bucket,
-    // so tick() may execute the bucket verbatim.
-    bucketHasStream_.assign(loopBuckets_.size(), 0);
-    for (size_t b = 0; b < loopBuckets_.size(); ++b) {
-        for (const ScheduledOp &s : loopBuckets_[b]) {
-            Opcode op = k->graph.nodes[s.node].op;
-            if (op == Opcode::In || op == Opcode::Out ||
-                op == Opcode::OutCond)
-                bucketHasStream_[b] = 1;
-        }
-    }
+    // (t < minTime + trip * ii), every bucket op is live.
     if (emptyLoop) {
         steadyLo_ = steadyHi_ = 0;
     } else {
@@ -222,47 +209,13 @@ ClusterArray::bindDerived()
                              loopWindow_);
         steadyHi_ = std::max(steadyHi_, steadyLo_);
     }
-
-    proOps_ = k->prologue.ops;
-    epiOps_ = k->epilogue.ops;
     // A zero-trip run of a real loop has no iterations to prime or
     // drain: the prologue/epilogue schedules reference iterations that
     // never execute (their In/Out ops would touch stream elements past
     // a zero-length stream), so both phases are skipped outright and
     // the kernel degenerates to startup + one empty loop cycle +
-    // shutdown.  Loop-less kernels (trip_ == 0 with no loop ops) keep
-    // their prologue: it IS the computation.
-    if (trip_ == 0 && !k->loop.ops.empty()) {
-        proOps_.clear();
-        epiOps_.clear();
-    }
-    auto byTime = [](const ScheduledOp &a, const ScheduledOp &b) {
-        return a.time < b.time;
-    };
-    std::sort(proOps_.begin(), proOps_.end(), byTime);
-    std::sort(epiOps_.begin(), epiOps_.end(), byTime);
-
-    // Bind the pre-decoded micro-op trace (shared process-wide through
-    // the compile cache) unless the interpretive path is selected.
-    low_ = nullptr;
-    if (cfg_.predecode) {
-        if (!curBind_->lowered)
-            curBind_->lowered =
-                kernelc::CompileCache::instance().lowered(*k);
-        low_ = curBind_->lowered.get();
-        IMAGINE_ASSERT(low_->depth == depth_,
-                       "kernel %s: lowered trace depth %u != bind depth "
-                       "%u",
-                       k->name(), low_->depth, depth_);
-    }
-    epiRowSlot_ = trip_ > 0 ? ((trip_ - 1) & (depth_ - 1)) : 0;
-
-    // Per-cycle scratch sized once to the widest issue group.
-    size_t widest = std::max(proOps_.size(), epiOps_.size());
-    for (const auto &bucket : loopBuckets_)
-        widest = std::max(widest, bucket.size());
-    opScratch_.reserve(widest);
-    iterScratch_.reserve(widest);
+    // shutdown.
+    blocksLive_ = trip_ > 0 || k->loop.ops.empty();
 
     // Sampled-fidelity fold plan (DESIGN.md section 12).  Short loops
     // (trip <= 2048) always run at full fidelity: their steady state is
@@ -279,15 +232,15 @@ ClusterArray::planSampling()
 {
     const CompiledKernel *k = kernel_;
     const uint64_t ii = k->loop.ii;
+    const kernelc::LoweredRegion &L = low_->loop;
     // Conditional output streams append a data-dependent number of
     // words per iteration; a fold cannot reproduce their element
     // positions without executing the predicate, so such kernels run at
     // full fidelity.  Same for the (theoretical) non-loop-region Out
     // scheduled inside the loop.
-    for (const ScheduledOp &s : k->loop.ops) {
-        const Node &n = k->graph.nodes[s.node];
-        if (n.op == Opcode::OutCond ||
-            (n.op == Opcode::Out && n.region != Region::Loop))
+    for (const kernelc::MicroOp &m : L.ops) {
+        if (m.h == kernelc::MicroHandler::OutCond ||
+            m.h == kernelc::MicroHandler::OutEpilogue)
             return;
     }
     // Iteration-aligned steady-state window [lo, hi): every position in
@@ -332,22 +285,11 @@ ClusterArray::planSampling()
     // them per folded position block gives the SRF exactly the
     // consume/produce sequence real execution would, so the
     // stream-buffer window invariants carry over.
-    for (size_t b = 0; b < loopBuckets_.size(); ++b) {
-        for (const ScheduledOp &s : loopBuckets_[b]) {
-            const Node &n = k->graph.nodes[s.node];
-            if (n.op != Opcode::In && n.op != Opcode::Out)
-                continue;
-            LoopStreamOp op;
-            op.isIn = n.op == Opcode::In;
-            op.streamIdx = n.streamIdx;
-            op.rec = op.isIn ? k->graph.inRec[n.streamIdx]
-                             : k->graph.outRec[n.streamIdx];
-            op.elemIdx = n.elemIdx;
-            op.node = op.isIn ? s.node : n.in[0];
-            op.stage = static_cast<uint32_t>(s.time) /
-                       static_cast<uint32_t>(ii);
-            foldStreamOps_.push_back(op);
-        }
+    for (size_t i = 0; i < L.ops.size(); ++i) {
+        const kernelc::MicroOp &m = L.ops[i];
+        if (m.h == kernelc::MicroHandler::In ||
+            m.h == kernelc::MicroHandler::OutLoop)
+            foldStreamOps_.push_back({&m, L.stage[i]});
     }
 }
 
@@ -373,6 +315,7 @@ ClusterArray::executeFold()
     IMAGINE_ASSERT(foldArmed(), "executeFold without an armed fold");
     const FoldRegion &fr = foldPlan_[foldNext_];
     const uint64_t ii = kernel_->loop.ii;
+    const uint32_t depth = low_->depth;
 
     // Stall estimate: stalls per issued loop position, measured over
     // the cycle-accurate stratum since the previous mark (loop entry or
@@ -419,13 +362,13 @@ ClusterArray::executeFold()
     // O(rows) data synthesis); the boundary tail replays per row so the
     // value rings and stream-buffer windows end exactly where a full
     // per-row replay would, and the tail's per-row asserts double-check
-    // the bulk state.  depth_ ring rows plus the deepest stage skew
+    // the bulk state.  depth ring rows plus the deepest stage skew
     // bound how far back post-fold execution can read.
     uint32_t maxStage = 0;
     for (const LoopStreamOp &op : foldStreamOps_)
         maxStage = std::max(maxStage, op.stage);
     const uint64_t tailIters =
-        std::min<uint64_t>(fr.iters, depth_ + maxStage);
+        std::min<uint64_t>(fr.iters, depth + maxStage);
     const uint64_t bulk = fr.iters - tailIters;
     if (bulk) {
         std::vector<Srf::WarpRange> ranges;
@@ -434,11 +377,12 @@ ClusterArray::executeFold()
             ranges.clear();
             uint32_t rec = 0;
             for (const LoopStreamOp &op : foldStreamOps_) {
-                if (!op.isIn || op.streamIdx != s)
+                const kernelc::MicroOp &m = *op.m;
+                if (m.h != kernelc::MicroHandler::In || m.streamIdx != s)
                     continue;
-                rec = op.rec;
+                rec = m.rec;
                 ranges.push_back(
-                    {op.elemIdx,
+                    {m.elemIdx,
                      static_cast<uint32_t>(armIter - op.stage),
                      static_cast<uint32_t>(armIter + bulk - op.stage)});
             }
@@ -453,49 +397,48 @@ ClusterArray::executeFold()
             tiles.clear();
             uint32_t rec = 0;
             for (const LoopStreamOp &op : foldStreamOps_) {
-                if (op.isIn || op.streamIdx != s)
+                const kernelc::MicroOp &m = *op.m;
+                if (m.h == kernelc::MicroHandler::In || m.streamIdx != s)
                     continue;
-                rec = op.rec;
+                rec = m.rec;
                 ranges.push_back(
-                    {op.elemIdx,
+                    {m.elemIdx,
                      static_cast<uint32_t>(armIter - op.stage),
                      static_cast<uint32_t>(armIter + bulk - op.stage)});
                 // The producer's current ring rows, slot order, as the
                 // tile this op's folded rows are synthesized from.
                 const Word *ring =
-                    &values_[static_cast<size_t>(op.node) * depth_ *
+                    &values_[static_cast<size_t>(m.src[0].node) * depth *
                              numClusters];
                 tiles.insert(tiles.end(), ring,
-                             ring + static_cast<size_t>(depth_) *
+                             ring + static_cast<size_t>(depth) *
                                         numClusters);
             }
             if (ranges.empty())
                 continue;
             srf_.warpOutBulk(outs_[s].client, rec, ranges.data(),
-                             ranges.size(), tiles.data(), depth_);
+                             ranges.size(), tiles.data(), depth);
             stats_.sbWrites += bulk * numClusters * ranges.size();
         }
     }
     Word row[numClusters];
     for (uint64_t j = bulk; j < fr.iters; ++j) {
         for (const LoopStreamOp &op : foldStreamOps_) {
+            const kernelc::MicroOp &m = *op.m;
             uint32_t iter =
                 static_cast<uint32_t>(armIter + j - op.stage);
-            uint32_t first =
-                iter * numClusters * op.rec + op.elemIdx;
-            if (op.isIn) {
-                Word *dst =
-                    &values_[(static_cast<size_t>(op.node) * depth_ +
-                              (iter & (depth_ - 1))) *
-                             numClusters];
-                srf_.warpInRow(ins_[op.streamIdx].client, first,
-                               op.rec, dst);
+            uint32_t first = iter * numClusters * m.rec + m.elemIdx;
+            if (m.h == kernelc::MicroHandler::In) {
+                Word *dst = &values_[m.dstBase +
+                                     (iter & low_->mask) * numClusters];
+                srf_.warpInRow(ins_[m.streamIdx].client, first, m.rec,
+                               dst);
                 stats_.sbReads += numClusters;
             } else {
                 for (int lane = 0; lane < numClusters; ++lane)
-                    row[lane] = value(op.node, iter, lane);
-                srf_.warpOutRow(outs_[op.streamIdx].client, first,
-                                op.rec, row);
+                    row[lane] = value(m.src[0].node, iter, lane);
+                srf_.warpOutRow(outs_[m.streamIdx].client, first, m.rec,
+                                row);
                 stats_.sbWrites += numClusters;
             }
         }
@@ -590,11 +533,13 @@ ClusterArray::traceKernelStart()
     };
     for (const ScheduledOp &s : kernel_->loop.ops)
         account(s, trip_);
-    if (!skipPrologue_)
-        for (const ScheduledOp &s : proOps_)
+    if (blocksLive_) {
+        if (!skipPrologue_)
+            for (const ScheduledOp &s : kernel_->prologue.ops)
+                account(s, 1);
+        for (const ScheduledOp &s : kernel_->epilogue.ops)
             account(s, 1);
-    for (const ScheduledOp &s : epiOps_)
-        account(s, 1);
+    }
     trace_->openSpan(tKernel_, traceKernelStart_,
                      trace_->intern(kernel_->name()), trip_);
     trace_->openSpan(tPhase_, traceKernelStart_, "startup");
@@ -671,181 +616,11 @@ ClusterArray::value(uint32_t id, uint32_t iter, int lane) const
         uint32_t it = (n.region == Region::Loop && trip_ > 0)
                           ? std::min(iter, trip_ - 1)
                           : 0;
-        return values_[(static_cast<size_t>(id) * depth_ +
-                        (it & (depth_ - 1))) *
+        return values_[(static_cast<size_t>(id) * low_->depth +
+                        (it & low_->mask)) *
                            numClusters +
                        static_cast<size_t>(lane)];
       }
-    }
-}
-
-void
-ClusterArray::store(uint32_t id, uint32_t iter, int lane, Word w)
-{
-    const Node &n = kernel_->graph.nodes[id];
-    uint32_t it = (n.region == Region::Loop) ? iter : 0;
-    values_[(static_cast<size_t>(id) * depth_ + (it & (depth_ - 1))) *
-                numClusters +
-            static_cast<size_t>(lane)] = w;
-}
-
-bool
-ClusterArray::cycleCanIssue(
-    const std::vector<const ScheduledOp *> &ops, bool inLoop) const
-{
-    // The iteration index for each op was stashed in the parallel
-    // vector by the caller for loop cycles; epilogue ops use trip_.
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const Node &n = kernel_->graph.nodes[ops[i]->node];
-        uint32_t iter = inLoop ? iterScratch_[i] : trip_;
-        switch (n.op) {
-          case Opcode::In: {
-            uint32_t last = streamElem(iter, numClusters - 1,
-                                       kernel_->graph.inRec[n.streamIdx],
-                                       n.elemIdx);
-            if (!srf_.inReady(ins_[n.streamIdx].client, last))
-                return false;
-            break;
-          }
-          case Opcode::Out: {
-            uint32_t last;
-            if (n.region == Region::Loop) {
-                last = streamElem(iter, numClusters - 1,
-                                  kernel_->graph.outRec[n.streamIdx],
-                                  n.elemIdx);
-            } else {
-                last = trip_ * kernel_->graph.outRec[n.streamIdx] *
-                           numClusters +
-                       n.elemIdx * numClusters + (numClusters - 1);
-            }
-            if (!srf_.outCanAccept(outs_[n.streamIdx].client, last))
-                return false;
-            break;
-          }
-          case Opcode::OutCond: {
-            int client = outs_[n.streamIdx].client;
-            uint32_t pos = srf_.outAppendPos(client);
-            if (!srf_.outCanAccept(client, pos + numClusters - 1))
-                return false;
-            break;
-          }
-          default:
-            break;
-        }
-    }
-    return true;
-}
-
-void
-ClusterArray::executeOp(const ScheduledOp &sop, uint32_t iter, bool inLoop)
-{
-    const Node &n = kernel_->graph.nodes[sop.node];
-    switch (n.op) {
-      case Opcode::In: {
-        uint16_t rec = kernel_->graph.inRec[n.streamIdx];
-        int client = ins_[n.streamIdx].client;
-        for (int lane = 0; lane < numClusters; ++lane) {
-            Word w = srf_.inConsume(client,
-                                    streamElem(iter, lane, rec, n.elemIdx));
-            store(sop.node, iter, lane, w);
-        }
-        stats_.sbReads += numClusters;
-        break;
-      }
-      case Opcode::Out: {
-        uint16_t rec = kernel_->graph.outRec[n.streamIdx];
-        int client = outs_[n.streamIdx].client;
-        for (int lane = 0; lane < numClusters; ++lane) {
-            uint32_t elem;
-            if (n.region == Region::Loop) {
-                elem = streamElem(iter, lane, rec, n.elemIdx);
-            } else {
-                elem = trip_ * rec * numClusters +
-                       n.elemIdx * numClusters +
-                       static_cast<uint32_t>(lane);
-            }
-            srf_.outProduce(client, elem, value(n.in[0], iter, lane));
-        }
-        stats_.sbWrites += numClusters;
-        break;
-      }
-      case Opcode::OutCond: {
-        int client = outs_[n.streamIdx].client;
-        for (int lane = 0; lane < numClusters; ++lane) {
-            if (value(n.in[1], iter, lane)) {
-                srf_.outProduce(client, srf_.outAppendPos(client),
-                                value(n.in[0], iter, lane));
-                ++stats_.sbWrites;
-            }
-        }
-        break;
-      }
-      case Opcode::CommPerm: {
-        Word vals[numClusters];
-        Word src[numClusters];
-        for (int lane = 0; lane < numClusters; ++lane) {
-            vals[lane] = value(n.in[0], iter, lane);
-            src[lane] = value(n.in[1], iter, lane);
-        }
-        for (int lane = 0; lane < numClusters; ++lane)
-            store(sop.node, iter, lane, vals[src[lane] % numClusters]);
-        break;
-      }
-      case Opcode::SpRd: {
-        for (int lane = 0; lane < numClusters; ++lane) {
-            uint32_t addr = value(n.in[0], iter, lane) %
-                            scratchpad_.size();
-            store(sop.node, iter, lane,
-                  scratchpad_[addr][static_cast<size_t>(lane)]);
-        }
-        break;
-      }
-      case Opcode::SpWr: {
-        for (int lane = 0; lane < numClusters; ++lane) {
-            uint32_t addr = value(n.in[0], iter, lane) %
-                            scratchpad_.size();
-            scratchpad_[addr][static_cast<size_t>(lane)] =
-                value(n.in[1], iter, lane);
-        }
-        break;
-      }
-      case Opcode::UcrWr:
-        // Scalar writeback: by convention lane 0's value.
-        ucrs_[n.payload] = value(n.in[0], iter, 0);
-        break;
-      default: {
-        Word in[3] = {0, 0, 0};
-        for (int lane = 0; lane < numClusters; ++lane) {
-            for (int k = 0; k < n.numIn; ++k)
-                in[k] = value(n.in[k], iter, lane);
-            store(sop.node, iter, lane, evalArith(n.op, in));
-        }
-        break;
-      }
-    }
-    (void)inLoop;
-}
-
-void
-ClusterArray::collectLoopOps(uint64_t tl,
-                             std::vector<const ScheduledOp *> &out,
-                             std::vector<uint32_t> &iters) const
-{
-    out.clear();
-    iters.clear();
-    if (tl >= loopWindow_)
-        return;
-    const auto &bucket =
-        loopBuckets_[static_cast<size_t>(tl % kernel_->loop.ii)];
-    for (const ScheduledOp &s : bucket) {
-        if (static_cast<uint64_t>(s.time) > tl)
-            continue;
-        uint64_t iter = (tl - static_cast<uint64_t>(s.time)) /
-                        kernel_->loop.ii;
-        if (iter < trip_) {
-            out.push_back(&s);
-            iters.push_back(static_cast<uint32_t>(iter));
-        }
     }
 }
 
@@ -884,7 +659,7 @@ ClusterArray::resolveSrc(const kernelc::MicroSrc &s, uint32_t iter,
         // row one slot back.  No clamp needed: live loop consumers have
         // iter < trip_, epilogue consumers iter == trip_, so iter - 1
         // never exceeds trip_ - 1.  iter == 0 (init chain / restart
-        // carry-over) falls through to the interpretive walk.
+        // carry-over) falls through to the graph walk in value().
         if (iter > 0)
             return &values_[s.base +
                             ((iter - 1) & low_->mask) * numClusters];
@@ -965,19 +740,6 @@ ClusterArray::execMicro(const kernelc::MicroOp &m, uint32_t iter,
       case MicroHandler::UcrWr:
         ucrs_[m.ucrIdx] = s0[0];
         break;
-      case MicroHandler::ArithGen: {
-        Word in[3] = {0, 0, 0};
-        for (int l = 0; l < numClusters; ++l) {
-            if (m.numIn > 0)
-                in[0] = s0[l];
-            if (m.numIn > 1)
-                in[1] = s1[l];
-            if (m.numIn > 2)
-                in[2] = s2[l];
-            d[l] = evalArith(m.op, in);
-        }
-        break;
-      }
 #define IMAGINE_M(name)                                                  \
       case MicroHandler::name:                                           \
         for (int l = 0; l < numClusters; ++l)                            \
@@ -1189,7 +951,8 @@ ClusterArray::tick()
       case Phase::Startup:
         ++stats_.startupCycles;
         if (++t_ >= static_cast<uint64_t>(cfg_.kernelStartupCycles)) {
-            phase_ = (skipPrologue_ || proOps_.empty())
+            phase_ = (skipPrologue_ || !blocksLive_ ||
+                      low_->prologue.ops.empty())
                          ? Phase::Loop
                          : Phase::Prologue;
             t_ = 0;
@@ -1206,21 +969,12 @@ ClusterArray::tick()
         break;
 
       case Phase::Prologue: {
-        if (low_) {
-            const auto &L = low_->prologue;
-            while (proCursor_ < L.ops.size() &&
-                   L.stage[proCursor_] < t_)
-                ++proCursor_;
-            while (proCursor_ < L.ops.size() &&
-                   L.stage[proCursor_] == t_) {
-                execMicro(L.ops[proCursor_], 0, 0);
-                ++proCursor_;
-            }
-        } else {
-            for (const ScheduledOp &s : proOps_) {
-                if (static_cast<uint64_t>(s.time) == t_)
-                    executeOp(s, 0, false);
-            }
+        const auto &L = low_->prologue;
+        while (proCursor_ < L.ops.size() && L.stage[proCursor_] < t_)
+            ++proCursor_;
+        while (proCursor_ < L.ops.size() && L.stage[proCursor_] == t_) {
+            execMicro(L.ops[proCursor_], 0, 0);
+            ++proCursor_;
         }
         ++stats_.prologueCycles;
         if (++t_ >= static_cast<uint64_t>(kernel_->prologue.length)) {
@@ -1251,80 +1005,33 @@ ClusterArray::tick()
             foldPosMark_ = t_;
             foldStallMark_ = stats_.stallCycles;
         }
+        // The stage array filters liveness; the stream check walks only
+        // the bucket's contiguous records.
         size_t b = static_cast<size_t>(t_ % kernel_->loop.ii);
-        if (low_) {
-            // Micro-op path: the stage array filters liveness; the
-            // stream check walks only the bucket's contiguous records.
-            bool steady = t_ >= steadyLo_ && t_ < steadyHi_;
-            if (t_ < loopWindow_ && bucketHasStream_[b] &&
-                !microLoopCanIssue(b, t_ / kernel_->loop.ii,
-                                   !steady)) {
-                ++stats_.stallCycles;
-                if (trace_)
-                    trace_->touchSpan(tStall_, "stall");
-                if (++stallWatchdog_ > 2'000'000) {
-                    IMAGINE_PANIC(
-                        "kernel %s wedged in main loop at t=%llu",
-                        kernel_->name(),
-                        static_cast<unsigned long long>(t_));
-                }
-                break;
+        bool steady = t_ >= steadyLo_ && t_ < steadyHi_;
+        if (t_ < loopWindow_ && low_->loop.bucketHasStream[b] &&
+            !microLoopCanIssue(b, t_ / kernel_->loop.ii, !steady)) {
+            ++stats_.stallCycles;
+            if (trace_)
+                trace_->touchSpan(tStall_, "stall");
+            if (++stallWatchdog_ > 2'000'000) {
+                IMAGINE_PANIC("kernel %s wedged in main loop at t=%llu",
+                              kernel_->name(),
+                              static_cast<unsigned long long>(t_));
             }
-            stallWatchdog_ = 0;
-            execLoopPositionMicro(t_);
-        } else {
-            if (t_ >= steadyLo_ && t_ < steadyHi_) {
-                // Steady state: the bucket needs no time/iteration
-                // filtering, and pure-arithmetic buckets cannot stall.
-                const auto &bucket = loopBuckets_[b];
-                opScratch_.clear();
-                iterScratch_.clear();
-                for (const ScheduledOp &s : bucket) {
-                    opScratch_.push_back(&s);
-                    iterScratch_.push_back(static_cast<uint32_t>(
-                        (t_ - static_cast<uint64_t>(s.time)) /
-                        kernel_->loop.ii));
-                }
-                if (bucketHasStream_[b] &&
-                    !cycleCanIssue(opScratch_, true)) {
-                    ++stats_.stallCycles;
-                    if (trace_)
-                        trace_->touchSpan(tStall_, "stall");
-                    if (++stallWatchdog_ > 2'000'000) {
-                        IMAGINE_PANIC(
-                            "kernel %s wedged in main loop at t=%llu",
-                            kernel_->name(),
-                            static_cast<unsigned long long>(t_));
-                    }
-                    break;
-                }
-            } else {
-                opScratch_.clear();
-                collectLoopOps(t_, opScratch_, iterScratch_);
-                if (!cycleCanIssue(opScratch_, true)) {
-                    ++stats_.stallCycles;
-                    if (trace_)
-                        trace_->touchSpan(tStall_, "stall");
-                    if (++stallWatchdog_ > 2'000'000) {
-                        IMAGINE_PANIC(
-                            "kernel %s wedged in main loop at t=%llu",
-                            kernel_->name(),
-                            static_cast<unsigned long long>(t_));
-                    }
-                    break;
-                }
-            }
-            stallWatchdog_ = 0;
-            for (size_t i = 0; i < opScratch_.size(); ++i)
-                executeOp(*opScratch_[i], iterScratch_[i], true);
+            break;
         }
+        stallWatchdog_ = 0;
+        execLoopPositionMicro(t_);
         ++stats_.loopCycles;
         if (trace_)
             trace_->touchSpan(tIssue_, "issue");
         ++t_;
         if (t_ >= loopTotal_) {
             finishLoopBookkeeping();
-            phase_ = epiOps_.empty() ? Phase::Shutdown : Phase::Epilogue;
+            phase_ = (!blocksLive_ || low_->epilogue.ops.empty())
+                         ? Phase::Shutdown
+                         : Phase::Epilogue;
             if (phase_ == Phase::Epilogue)
                 accountMix(kernel_->epilogueMix, 1);
             t_ = 0;
@@ -1336,46 +1043,26 @@ ClusterArray::tick()
       }
 
       case Phase::Epilogue: {
-        if (low_) {
-            const auto &L = low_->epilogue;
-            size_t begin = epiCursor_;
-            while (begin < L.ops.size() && L.stage[begin] < t_)
-                ++begin;
-            size_t end = begin;
-            while (end < L.ops.size() && L.stage[end] == t_)
-                ++end;
-            if (!microBlockCanIssue(L, begin, end)) {
-                ++stats_.stallCycles;
-                if (trace_)
-                    trace_->touchSpan(tStall_, "stall");
-                if (++stallWatchdog_ > 2'000'000)
-                    IMAGINE_PANIC("kernel %s wedged in epilogue",
-                                  kernel_->name());
-                break;
-            }
-            stallWatchdog_ = 0;
-            for (size_t i = begin; i < end; ++i)
-                execMicro(L.ops[i], trip_, epiRowSlot_);
-            epiCursor_ = end;
-        } else {
-            opScratch_.clear();
-            for (const ScheduledOp &s : epiOps_) {
-                if (static_cast<uint64_t>(s.time) == t_)
-                    opScratch_.push_back(&s);
-            }
-            if (!cycleCanIssue(opScratch_, false)) {
-                ++stats_.stallCycles;
-                if (trace_)
-                    trace_->touchSpan(tStall_, "stall");
-                if (++stallWatchdog_ > 2'000'000)
-                    IMAGINE_PANIC("kernel %s wedged in epilogue",
-                                  kernel_->name());
-                break;
-            }
-            stallWatchdog_ = 0;
-            for (const ScheduledOp *s : opScratch_)
-                executeOp(*s, trip_, false);
+        const auto &L = low_->epilogue;
+        size_t begin = epiCursor_;
+        while (begin < L.ops.size() && L.stage[begin] < t_)
+            ++begin;
+        size_t end = begin;
+        while (end < L.ops.size() && L.stage[end] == t_)
+            ++end;
+        if (!microBlockCanIssue(L, begin, end)) {
+            ++stats_.stallCycles;
+            if (trace_)
+                trace_->touchSpan(tStall_, "stall");
+            if (++stallWatchdog_ > 2'000'000)
+                IMAGINE_PANIC("kernel %s wedged in epilogue",
+                              kernel_->name());
+            break;
         }
+        stallWatchdog_ = 0;
+        for (size_t i = begin; i < end; ++i)
+            execMicro(L.ops[i], trip_, epiRowSlot_);
+        epiCursor_ = end;
         ++stats_.epilogueCycles;
         if (++t_ >= static_cast<uint64_t>(kernel_->epilogue.length)) {
             phase_ = Phase::Shutdown;

@@ -193,38 +193,23 @@ class ClusterArray : public Component
         Done
     };
 
-    struct LoopOpRef
-    {
-        uint32_t node;
-        int time;
-    };
-
     /**
      * Re-derive every launch table that is a pure function of the bound
-     * kernel, trip count, config and bind-cache entry: value-buffer
-     * depth, issue buckets, loop extents, steady-state window, sorted
-     * prologue/epilogue schedules, the lowered micro-op trace and
-     * scratch reserves.  Called by start() at launch and by
+     * kernel, trip count, config and bind-cache entry: the lowered
+     * micro-op trace, loop extents, steady-state window and fold plan.
+     * Called by start() at launch and by
      * loadState() after a restore (the lowered trace is re-fetched from
      * the process-wide CompileCache rather than serialized, so a
      * restored run rebinds deterministically).
      */
     void bindDerived();
 
-    /** Fetch the value of node @p id for consumer iteration @p iter. */
+    /**
+     * Fetch the value of node @p id for consumer iteration @p iter by
+     * walking the graph: the escape for operands the lowering does not
+     * pre-resolve (Generic, and AccNext at iteration 0).
+     */
     Word value(uint32_t id, uint32_t iter, int lane) const;
-    /** Store a computed value. */
-    void store(uint32_t id, uint32_t iter, int lane, Word w);
-
-    /** True if every op issuing this loop/epilogue cycle can proceed. */
-    bool cycleCanIssue(const std::vector<const kernelc::ScheduledOp *>
-                           &ops, bool inLoop) const;
-    /** Execute one op for all lanes. */
-    void executeOp(const kernelc::ScheduledOp &sop, uint32_t iter,
-                   bool inLoop);
-    void collectLoopOps(uint64_t tl,
-                        std::vector<const kernelc::ScheduledOp *> &out,
-                        std::vector<uint32_t> &iters) const;
     uint32_t streamElem(uint32_t iter, int lane, uint16_t rec,
                         uint16_t elemIdx) const;
     void accountMix(const kernelc::OpMix &mix, uint64_t times);
@@ -262,11 +247,8 @@ class ClusterArray : public Component
     uint64_t kernelCycles_ = 0; ///< cycles since start()
     bool restart_ = false;
 
-    uint32_t depth_ = 1;        ///< value-buffer depth (power of two)
     std::vector<Word> values_;  ///< [node][iter % depth][lane]
     std::vector<std::array<Word, numClusters>> scratchpad_;
-    std::vector<std::vector<kernelc::ScheduledOp>> loopBuckets_;
-    std::vector<kernelc::ScheduledOp> proOps_, epiOps_;  // time-sorted
     /**
      * Per-kernel bind-time state: run history (Restart guard), saved
      * accumulator finals for restart carry-over, the shared lowered
@@ -289,32 +271,29 @@ class ClusterArray : public Component
     KernelBind *curBind_ = nullptr;
     const kernelc::CompiledKernel *lastKernel_ = nullptr;
     bool skipPrologue_ = false;
+    /**
+     * False for a zero-trip run of a real loop: the prologue/epilogue
+     * schedules reference iterations that never execute, so both phases
+     * are skipped.  Loop-less kernels keep their prologue: it IS the
+     * computation.
+     */
+    bool blocksLive_ = true;
     uint64_t loopWindow_ = 0;   ///< total issue window of the main loop
     uint64_t loopTotal_ = 0;    ///< main-loop cycle count for this launch
     /**
      * Steady-state window [steadyLo_, steadyHi_): loop cycles where
      * every bucket op is live (past its first issue, before its last
-     * iteration retires), so the per-cycle time/iteration filtering in
-     * collectLoopOps is a no-op and the bucket executes verbatim.
+     * iteration retires), so stream checks need no stage filter.
      */
     uint64_t steadyLo_ = 0;
     uint64_t steadyHi_ = 0;
-    /** Buckets containing In/Out/OutCond ops (need cycleCanIssue). */
-    std::vector<uint8_t> bucketHasStream_;
     uint64_t stallWatchdog_ = 0;
-    /**
-     * Lowered trace of the current kernel (owned by curBind_), or
-     * nullptr when the interpretive path is active
-     * (cfg.predecode == false).
-     */
+    /** Lowered trace of the current kernel (owned by curBind_). */
     const kernelc::LoweredKernel *low_ = nullptr;
     /** Row slot epilogue consumers read: (trip-1) & mask (0 if trip 0). */
     uint32_t epiRowSlot_ = 0;
     /** Issue cursors into low_->prologue / low_->epilogue. */
     size_t proCursor_ = 0, epiCursor_ = 0;
-    /** Per-cycle scratch (avoids per-tick allocation). */
-    mutable std::vector<const kernelc::ScheduledOp *> opScratch_;
-    mutable std::vector<uint32_t> iterScratch_;
 
     // --- sampled fidelity (DESIGN.md section 12) ----------------------
     /** One analytically folded region of the current launch's loop. */
@@ -333,17 +312,14 @@ class ClusterArray : public Component
         uint64_t measureFrom = 0;
     };
     /**
-     * One loop-region stream op in bucket (per-position issue) order.
-     * Fold replay walks these per folded position block so the SRF sees
-     * exactly the consume/produce sequence of real execution.
+     * One loop-region stream op (In or OutLoop micro-op of low_->loop)
+     * in bucket (per-position issue) order.  Fold replay walks these per
+     * folded position block so the SRF sees exactly the consume/produce
+     * sequence of real execution.
      */
     struct LoopStreamOp
     {
-        bool isIn = false;
-        uint16_t streamIdx = 0;
-        uint16_t rec = 0;
-        uint16_t elemIdx = 0;
-        uint32_t node = 0;      ///< In: dest node; Out: source node
+        const kernelc::MicroOp *m = nullptr;
         uint32_t stage = 0;     ///< schedule time / ii
     };
     /** Plan fold regions for the current launch (end of bindDerived). */

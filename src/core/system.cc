@@ -41,11 +41,10 @@ fnv1a64(const void *p, size_t n, uint64_t h)
 
 /**
  * Hash every config field with architectural effect.  Deliberately
- * excluded: the engine knob proven bit-identical across settings
- * (predecode), the trace sink (a read-only observer) and
- * the checkpoint knobs themselves - a restored run may legitimately
- * checkpoint elsewhere, and restore across engine modes is a supported
- * (and tested) use.
+ * excluded: the trace knobs (a read-only observer) and the checkpoint
+ * knobs themselves - a restored run may legitimately checkpoint
+ * elsewhere, and restoring with tracing switched on is a supported (and
+ * tested) use.
  */
 uint64_t
 configFingerprint(const MachineConfig &c)

@@ -5,11 +5,12 @@
  * Single source of truth for the functional semantics of every Adder /
  * Mul / Dsq opcode (plus Mov/Select): `evalArithScalar<OP>` is the one
  * implementation, instantiated per opcode at compile time.  The
- * interpretive `evalArith` (isa/opcode.cc) and the pre-decoded micro-op
- * engine (cluster/cluster.cc) both dispatch into these instantiations,
- * so the two execution paths cannot drift — an 8-lane loop whose body
- * is a single instantiation also gives the compiler a branch-free,
- * auto-vectorizable kernel per opcode.
+ * runtime-dispatched `evalArith` (isa/opcode.cc; golden models and the
+ * test reference interpreter) and the micro-op engine
+ * (cluster/cluster.cc) both dispatch into these instantiations, so the
+ * simulator and its references cannot drift — an 8-lane loop whose
+ * body is a single instantiation also gives the compiler a
+ * branch-free, auto-vectorizable kernel per opcode.
  *
  * The build sets -ffp-contract=off globally, so float expressions here
  * round identically wherever they are inlined.
@@ -78,7 +79,7 @@ u8absd(uint8_t a, uint8_t b)
 
 /**
  * Every pure-arithmetic opcode, for X-macro generation of the
- * interpretive switch, the micro-op handler enum, and the micro-op
+ * evalArith switch, the micro-op handler enum, and the micro-op
  * dispatch cases.  Must cover exactly the opcodes evalArith accepts.
  */
 #define IMAGINE_ARITH_OPS(M)                                             \

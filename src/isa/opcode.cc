@@ -180,10 +180,10 @@ unitsPerCluster(FuClass cls, const MachineConfig &cfg)
 }
 
 /**
- * Interpretive dispatch into the shared per-opcode scalar evaluators
- * (isa/arith_inline.hh) - the same instantiations the pre-decoded
- * micro-op engine inlines into its 8-lane loops, so the two execution
- * paths share one functional definition per opcode.
+ * Runtime dispatch into the shared per-opcode scalar evaluators
+ * (isa/arith_inline.hh) - the same instantiations the micro-op engine
+ * inlines into its 8-lane loops, so golden models and the simulator
+ * share one functional definition per opcode.
  */
 Word
 evalArith(Opcode op, const Word in[3])

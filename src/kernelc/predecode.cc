@@ -20,7 +20,8 @@ arithHandler(Opcode op)
     IMAGINE_ARITH_OPS(IMAGINE_M)
 #undef IMAGINE_M
       default:
-        return MicroHandler::ArithGen;
+        IMAGINE_PANIC("no micro-op handler for opcode %d",
+                      static_cast<int>(op));
     }
 }
 
@@ -76,7 +77,6 @@ lowerOp(const CompiledKernel &k, const ScheduledOp &sop, uint32_t depth)
     const KernelGraph &g = k.graph;
     const Node &n = g.nodes[sop.node];
     MicroOp m;
-    m.op = n.op;
     m.numIn = n.numIn;
     m.dstLoop = n.region == Region::Loop ? 1 : 0;
     m.dstBase = sop.node * depth * numClusters;
@@ -128,15 +128,14 @@ LoweredKernel
 lower(const CompiledKernel &k)
 {
     LoweredKernel L;
-    // Same depth derivation as the cluster array's bind.
+    // Value buffers sized for the deepest software-pipeline overlap.
     uint32_t need = static_cast<uint32_t>(k.loop.stages()) + 2;
     L.depth = 1;
     while (L.depth < need)
         L.depth <<= 1;
     L.mask = L.depth - 1;
 
-    // Loop: bucket-major, preserving the interpretive bucket build
-    // order (k.loop.ops order within each bucket).
+    // Loop: bucket-major, k.loop.ops order within each bucket.
     const uint32_t ii = static_cast<uint32_t>(std::max(k.loop.ii, 1));
     std::vector<std::vector<ScheduledOp>> buckets(ii);
     for (const ScheduledOp &s : k.loop.ops)
@@ -157,11 +156,10 @@ lower(const CompiledKernel &k)
     }
     L.loop.bucketBegin[ii] = static_cast<uint32_t>(L.loop.ops.size());
 
-    // Blocks: lowered in the order the cluster array executes them.
-    // It sorts with std::sort, whose permutation of equal-time ops is
-    // implementation-defined; running the identical sort on identical
-    // input reproduces it, keeping same-cycle op order (conditional
-    // appends, scratchpad accesses) bit-exact across both paths.
+    // Blocks: time-sorted.  std::sort's permutation of equal-time ops
+    // is implementation-defined but deterministic for identical input,
+    // which fixes same-cycle op order (conditional appends, scratchpad
+    // accesses); the goldens pin it.
     auto lowerBlock = [&](const BlockSchedule &blk, LoweredRegion &out) {
         std::vector<ScheduledOp> ops = blk.ops;
         std::sort(ops.begin(), ops.end(),

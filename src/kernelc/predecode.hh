@@ -2,13 +2,13 @@
  * @file
  * Kernel-bind-time lowering to a pre-decoded micro-op trace.
  *
- * The cluster array's interpretive path re-derives per cycle what is
- * static per kernel: it walks `ScheduledOp`s, switches on the graph
- * node's `Opcode`, and resolves every operand through a recursive
- * `value()` that switches again per operand per lane.  The lowering
- * pass here runs once per (kernel, schedule) and compiles all three
- * regions — prologue, loop buckets, epilogue — into flat, contiguous
- * `MicroOp` records:
+ * A kernel schedule is static, so everything an issue loop would
+ * re-derive per cycle from `ScheduledOp`s - the graph node's `Opcode`,
+ * each operand's producer, the stream binding - is decided once here.
+ * The lowering pass runs once per (kernel, schedule) and compiles all
+ * three regions — prologue, loop buckets, epilogue — into flat,
+ * contiguous `MicroOp` records that the cluster array executes
+ * directly:
  *
  *  - a dense `MicroHandler` index replaces the `Opcode` switch; every
  *    pure-arith opcode gets its own handler whose 8-lane loop inlines
@@ -28,8 +28,8 @@
  * it is shared process-wide through the compile cache
  * (CompileCache::lowered) under the same fingerprint discipline as the
  * schedules.  Execution semantics live in cluster/cluster.cc; the
- * interpretive path remains available behind `cfg.predecode = false`
- * and is bit-identical by construction (tests/predecode_test.cc).
+ * oracle is the reference interpreter plus the pinned goldens
+ * (tests/cluster_test.cc, tests/golden_test.cc).
  */
 
 #ifndef IMAGINE_KERNELC_PREDECODE_HH
@@ -56,7 +56,6 @@ enum class MicroHandler : uint8_t
     SpRd,
     SpWr,
     UcrWr,
-    ArithGen,     ///< per-lane evalArith fallback (uncovered opcodes)
 #define IMAGINE_M(name) name,
     IMAGINE_ARITH_OPS(IMAGINE_M)  ///< one dedicated 8-lane handler each
 #undef IMAGINE_M
@@ -74,7 +73,7 @@ enum class MicroSrcKind : uint8_t
     AccNext,   ///< accumulator: prior iteration of `base`'s row;
                ///< iteration 0 falls back to the generic resolver
                ///< (restart carry-over / init chain)
-    Generic    ///< full interpretive value() walk of node `node`
+    Generic    ///< full value() graph walk of node `node`
 };
 
 /** One pre-resolved micro-op input. */
@@ -89,10 +88,9 @@ struct MicroSrc
 /** One pre-decoded scheduled op. */
 struct MicroOp
 {
-    MicroHandler h = MicroHandler::ArithGen;
+    MicroHandler h = MicroHandler::In;
     uint8_t numIn = 0;
     uint8_t dstLoop = 0;      ///< dst slot is iter & mask (else slot 0)
-    Opcode op = Opcode::Imm;  ///< original opcode (ArithGen fallback)
     uint16_t streamIdx = 0;   ///< In/Out/OutCond stream binding index
     uint16_t rec = 0;         ///< record words per lane per iteration
     uint16_t elemIdx = 0;     ///< record word slot
@@ -125,10 +123,10 @@ struct LoweredKernel
 };
 
 /**
- * Lower @p k's three scheduled regions.  Deterministic, and replicates
- * the cluster array's op ordering exactly (bucket construction order
- * for the loop; the same std::sort-by-time for the blocks), so the
- * micro engine executes ops in the interpretive path's order.
+ * Lower @p k's three scheduled regions.  Deterministic: loop ops keep
+ * k.loop.ops order within each bucket, block ops are sorted by issue
+ * time, and that order is the same-cycle execution order (conditional
+ * appends, scratchpad accesses).
  */
 LoweredKernel lower(const CompiledKernel &k);
 

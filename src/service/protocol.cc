@@ -29,8 +29,11 @@ u64Field(const json::Value &v, const char *key)
     }
 }
 
+/** An integer in [min, INT32_MAX]: no integer field is meaningful below
+ *  0, and the divisors, port counts and sizes the machine divides by or
+ *  allocates from need at least 1. */
 int
-intField(const json::Value &v, const char *key)
+intField(const json::Value &v, const char *key, int min = 0)
 {
     int64_t i;
     try {
@@ -38,8 +41,10 @@ intField(const json::Value &v, const char *key)
     } catch (const json::ParseError &) {
         bad(std::string(key) + ": expected an integer");
     }
-    if (i < INT32_MIN || i > INT32_MAX)
+    if (i > INT32_MAX)
         bad(std::string(key) + ": out of int range");
+    if (i < min)
+        bad(std::string(key) + ": must be >= " + std::to_string(min));
     return static_cast<int>(i);
 }
 
@@ -49,6 +54,16 @@ numField(const json::Value &v, const char *key)
     if (!v.isNumber())
         bad(std::string(key) + ": expected a number");
     return v.asDouble();
+}
+
+/** A number > 0: rates the machine divides by. */
+double
+posNumField(const json::Value &v, const char *key)
+{
+    double d = numField(v, key);
+    if (!(d > 0))
+        bad(std::string(key) + ": must be > 0");
+    return d;
 }
 
 bool
@@ -96,20 +111,24 @@ overrideTable()
         std::string, std::function<void(MachineConfig &, V)>> table = {
 #define INT_FIELD(name) \
     {#name, [](MachineConfig &c, V v) { c.name = intField(v, #name); }}
+#define POS_INT_FIELD(name) \
+    {#name, [](MachineConfig &c, V v) { c.name = intField(v, #name, 1); }}
 #define NUM_FIELD(name) \
     {#name, [](MachineConfig &c, V v) { c.name = numField(v, #name); }}
+#define POS_NUM_FIELD(name) \
+    {#name, [](MachineConfig &c, V v) { c.name = posNumField(v, #name); }}
 #define U64_FIELD(name) \
     {#name, [](MachineConfig &c, V v) { c.name = u64Field(v, #name); }}
 #define BOOL_FIELD(name) \
     {#name, [](MachineConfig &c, V v) { c.name = boolField(v, #name); }}
 #define STR_FIELD(name) \
     {#name, [](MachineConfig &c, V v) { c.name = strField(v, #name); }}
-        NUM_FIELD(coreClockHz),
-        INT_FIELD(memClockDivider),
+        POS_NUM_FIELD(coreClockHz),
+        POS_INT_FIELD(memClockDivider),
         INT_FIELD(numAdders),
         INT_FIELD(numMultipliers),
-        INT_FIELD(sbInPorts),
-        INT_FIELD(sbOutPorts),
+        POS_INT_FIELD(sbInPorts),
+        POS_INT_FIELD(sbOutPorts),
         INT_FIELD(scratchpadWords),
         INT_FIELD(lrfWordsPerCluster),
         INT_FIELD(kernelStartupCycles),
@@ -118,25 +137,24 @@ overrideTable()
         INT_FIELD(srfBandwidthWordsPerCycle),
         INT_FIELD(streamBufferWords),
         INT_FIELD(numAddressGenerators),
-        INT_FIELD(numChannels),
-        INT_FIELD(banksPerChannel),
-        INT_FIELD(rowWords),
+        POS_INT_FIELD(numChannels),
+        POS_INT_FIELD(banksPerChannel),
+        POS_INT_FIELD(rowWords),
         INT_FIELD(tRcd),
         INT_FIELD(tCas),
         INT_FIELD(tRp),
         INT_FIELD(mcPipelineCycles),
-        INT_FIELD(mcCacheWords),
+        POS_INT_FIELD(mcCacheWords),
         BOOL_FIELD(quirkPrechargeBug),
         INT_FIELD(ucodeStoreInstrs),
         INT_FIELD(ucodeWordsPerInstr),
-        NUM_FIELD(hostMips),
+        POS_NUM_FIELD(hostMips),
         INT_FIELD(scoreboardSlots),
         INT_FIELD(scIssueOverhead),
         INT_FIELD(quirkIssueLatency),
         INT_FIELD(hostRoundTripCycles),
         INT_FIELD(nonPlaybackHostOverheadCycles),
         U64_FIELD(watchdogStagnationCycles),
-        BOOL_FIELD(predecode),
         INT_FIELD(clusterBindCacheKernels),
         BOOL_FIELD(trace),
         U64_FIELD(traceMaxEvents),
@@ -201,7 +219,9 @@ overrideTable()
              c.faults.memEcc = eccField(v, "faults.memEcc");
          }},
 #undef INT_FIELD
+#undef POS_INT_FIELD
 #undef NUM_FIELD
+#undef POS_NUM_FIELD
 #undef U64_FIELD
 #undef BOOL_FIELD
 #undef STR_FIELD

@@ -184,19 +184,6 @@ struct MachineConfig
     // Simulator engine (no architectural effect)
     // ------------------------------------------------------------------
     /**
-     * Pre-decoded micro-op execution engine (DESIGN.md section 9): at
-     * kernel bind, lower the scheduled ops to a flat micro-op trace
-     * (dense handler index, operand rows pre-resolved into the value
-     * buffers, power-of-two depth masking) that the issue loop walks
-     * linearly; the SRF moves each granted per-cycle word batch as one
-     * block.  Results, stats, fault traces and cycle counts are
-     * bit-identical to the interpretive path
-     * (tests/predecode_test.cc); off is the interpretive reference
-     * oracle the differential tests and bench/perf_smoke compare
-     * against.
-     */
-    bool predecode = true;
-    /**
      * Cap on per-kernel cluster bind-cache entries (lowered-trace
      * handles, restart accumulator carry-over, run history).  Least
      * recently launched kernels are evicted past the cap; a Restart of

@@ -1,9 +1,10 @@
 /**
  * @file
  * The canonical list of kernel-graph families the four applications are
- * built from, shared by every suite that sweeps "all kernels" (the
- * predecode and fidelity differentials).  Kept in one place so a new
- * kernel family automatically joins every differential.
+ * built from, shared by every suite that sweeps "all kernels" (the rig
+ * goldens, zero-trip launches and the fidelity differentials), and the
+ * input pattern those sweeps feed them.  Kept in one place so a new
+ * kernel family automatically joins every sweep.
  */
 
 #ifndef IMAGINE_TESTS_APP_KERNELS_HH
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "kernelc/dfg.hh"
+#include "kernelc/schedule.hh"
 #include "kernels/conv.hh"
 #include "kernels/dct.hh"
 #include "kernels/gromacs.hh"
@@ -74,6 +76,26 @@ allAppKernels()
     ks.emplace_back("streamLength", streamLength(8, 8));
     ks.emplace_back("gromacsForce", gromacsForce());
     return ks;
+}
+
+/**
+ * Input streams for @p k at @p trip: bounded values, so packed 8/16-bit
+ * kernels see plausible pixels and float kernels see denormals rather
+ * than NaN-adjacent garbage.
+ */
+inline std::vector<std::vector<Word>>
+patternInputs(const kernelc::CompiledKernel &k, uint32_t trip)
+{
+    std::vector<std::vector<Word>> inputs;
+    for (int s = 0; s < k.graph.numInStreams; ++s) {
+        std::vector<Word> data(trip *
+                               static_cast<uint32_t>(k.graph.inRec[s]) *
+                               numClusters);
+        for (uint32_t i = 0; i < data.size(); ++i)
+            data[i] = (i * 37u + static_cast<uint32_t>(s) * 11u) % 251u;
+        inputs.push_back(std::move(data));
+    }
+    return inputs;
 }
 
 } // namespace imagine::testutil

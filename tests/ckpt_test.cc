@@ -3,7 +3,7 @@
  * Checkpoint/restore tests.
  *
  * The load-bearing property is the differential: for every app, across
- * machine shapes, engine modes and chaos seeds, (a) a run that writes
+ * machine shapes and chaos seeds, (a) a run that writes
  * periodic checkpoints produces a RunResult byte-identical to a
  * straight run, and (b) a fresh session restored from a mid-run
  * snapshot finishes with the same byte-identical RunResult - including
@@ -38,10 +38,9 @@ namespace
 constexpr int kSeedsPerApp = 24;
 
 /**
- * Machine shape, engine mode and fault plan for one differential seed:
- * three shapes (dev board, isim, dev board with a single-entry bind
- * cache to force rebinds across restore), predecode on and off,
- * chaos-style faults with the ECC mode cycled.
+ * Machine shape and fault plan for one differential seed: three shapes
+ * (dev board, isim, dev board with a single-entry bind cache to force
+ * rebinds across restore), chaos-style faults with the ECC mode cycled.
  */
 MachineConfig
 shapeFor(int seed)
@@ -59,7 +58,6 @@ shapeFor(int seed)
         cfg.clusterBindCacheKernels = 1;
         break;
     }
-    cfg.predecode = (seed % 2) == 0;
     cfg.faults.enabled = true;
     cfg.faults.seed = 0x5eed7ull * 1000 + static_cast<uint64_t>(seed);
     cfg.faults.srfFlipRate = 1e-4;

@@ -23,6 +23,7 @@ using namespace imagine;
 using namespace imagine::kernelc;
 using imagine::testutil::allAppKernels;
 using imagine::testutil::ClusterRig;
+using imagine::testutil::patternInputs;
 using imagine::testutil::ReferenceInterp;
 
 namespace
@@ -415,23 +416,6 @@ rigHash(const ClusterRig &rig,
           ss.wordsTransferred, ss.busyCycles})
         f.add(v);
     return f.h;
-}
-
-/** Bounded input pattern: plausible 8/16-bit pixels for packed kernels,
- *  denormals rather than NaN-adjacent garbage for float kernels. */
-std::vector<std::vector<Word>>
-patternInputs(const CompiledKernel &k, uint32_t trip)
-{
-    std::vector<std::vector<Word>> inputs;
-    for (int s = 0; s < k.graph.numInStreams; ++s) {
-        std::vector<Word> data(trip *
-                               static_cast<uint32_t>(k.graph.inRec[s]) *
-                               numClusters);
-        for (uint32_t i = 0; i < data.size(); ++i)
-            data[i] = (i * 37u + static_cast<uint32_t>(s) * 11u) % 251u;
-        inputs.push_back(std::move(data));
-    }
-    return inputs;
 }
 
 bool

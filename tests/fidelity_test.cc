@@ -17,7 +17,7 @@
  *  - a cluster+SRF differential rig over every app/library kernel
  *    family at trip 4096, pinning the measured error to the bound,
  *  - zero-trip and short-loop (trip <= 2048) bit-identity fallbacks,
- *  - a full-system fidelity x predecode matrix,
+ *  - a full-system Cycle vs Sampled matrix with a traced Sampled arm,
  *  - faults / periodic checkpoints forcing full fidelity,
  *  - toJson() schema stability across the four applications,
  *  - trace re-arm after restore: a restored traced run's tail
@@ -51,6 +51,7 @@ using namespace imagine;
 using namespace imagine::kernelc;
 using imagine::testutil::allAppKernels;
 using imagine::testutil::ClusterRig;
+using imagine::testutil::patternInputs;
 
 namespace fs = std::filesystem;
 
@@ -64,24 +65,6 @@ bigRigConfig()
     MachineConfig cfg;
     cfg.srfSizeWords = 8 * 1024 * 1024;
     return cfg;
-}
-
-/** The predecode-suite input pattern: bounded values so packed 8/16-bit
- *  kernels see plausible pixels. */
-std::vector<std::vector<Word>>
-inputsFor(const CompiledKernel &k, uint32_t trip)
-{
-    std::vector<std::vector<Word>> inputs;
-    for (int s = 0; s < k.graph.numInStreams; ++s) {
-        std::vector<Word> data(trip *
-                               static_cast<uint32_t>(k.graph.inRec[s]) *
-                               numClusters);
-        for (uint32_t i = 0; i < data.size(); ++i)
-            data[i] =
-                (i * 37u + static_cast<uint32_t>(s) * 11u) % 251u;
-        inputs.push_back(std::move(data));
-    }
-    return inputs;
 }
 
 /** Outcome of one rig run, including the fold accounting. */
@@ -276,7 +259,7 @@ TEST(FidelityTest, SampledRigDifferentialEveryAppKernel)
     const uint32_t trip = 4096;
     for (auto &[name, graph] : allAppKernels()) {
         CompiledKernel k = compile(std::move(graph), cfg);
-        auto inputs = inputsFor(k, trip);
+        auto inputs = patternInputs(k, trip);
         FidOutcome ex = driveFidRig(cfg, k, inputs, false);
         FidOutcome sa = driveFidRig(cfg, k, inputs, true);
         expectExactCounters(name.c_str(), sa, ex);
@@ -340,7 +323,7 @@ TEST(FidelityTest, ShortLoopFallbackBitIdentical)
             name != "gromacsForce" && name != "peakOps")
             continue;
         CompiledKernel k = compile(std::move(graph), cfg);
-        auto inputs = inputsFor(k, trip);
+        auto inputs = patternInputs(k, trip);
         FidOutcome ex = driveFidRig(cfg, k, inputs, false);
         FidOutcome sa = driveFidRig(cfg, k, inputs, true);
         EXPECT_TRUE(sa.folds.empty()) << name;
@@ -356,59 +339,38 @@ TEST(FidelityTest, ShortLoopFallbackBitIdentical)
 
 TEST(FidelityTest, EngineModeMatrixLongLoop)
 {
-    // fidelity x predecode: the two Cycle arms must be byte-identical
-    // with no "fidelity" key; the two Sampled arms must be
-    // byte-identical to each other (the fold replays through the same
-    // value buffers both engines maintain) and within the declared
-    // error bound of the Cycle arms.  Each Sampled arm also runs
-    // traced: the fold catch-up moves the trace clock every cycle, and
-    // tracing must not change what it observes.
-    std::vector<std::string> cycleJson, sampledJson;
-    uint64_t exactCycles = 0;
-    RunResult sampledRes;
-    for (bool pd : {true, false}) {
-        for (int fi = 0; fi < 2; ++fi) {
-            MachineConfig cfg = MachineConfig::devBoard();
-            cfg.predecode = pd;
-            cfg.fidelity = fi ? Fidelity::Sampled : Fidelity::Cycle;
-            RunResult r = runLongLoop(cfg);
-            if (!fi) {
-                cycleJson.push_back(r.toJson());
-                exactCycles = r.cycles;
-                continue;
-            }
-            sampledJson.push_back(r.toJson());
-            sampledRes = r;
+    // Cycle vs Sampled: the Cycle run has no "fidelity" key; the
+    // Sampled run reports its tier and stays within the declared error
+    // bound of the Cycle run.  The Sampled arm also runs traced: the
+    // fold catch-up moves the trace clock every cycle, and tracing must
+    // not change what it observes.
+    MachineConfig cfg = MachineConfig::devBoard();
+    RunResult exact = runLongLoop(cfg);
+    const uint64_t exactCycles = exact.cycles;
+    EXPECT_EQ(exact.toJson().find("\"fidelity\""), std::string::npos);
 
-            cfg.trace = true;
-            ImagineSystem *raw = nullptr;
-            RunResult traced = runLongLoop(cfg, &raw);
-            std::unique_ptr<ImagineSystem> tracedSys(raw);
-            // Trace-off output is the exact prefix of trace-on output,
-            // up to the closing brace the trace block goes in front of.
-            std::string head = sampledJson.back();
-            head.pop_back();
-            std::string on = traced.toJson();
-            EXPECT_EQ(on.compare(0, head.size(), head), 0)
-                << "predecode " << pd;
-            EXPECT_EQ(on.compare(head.size(), 9, ",\"trace\":"), 0)
-                << "predecode " << pd;
-            ASSERT_NE(tracedSys->traceSink(), nullptr);
-            EXPECT_NE(trace::toPerfettoJson(*tracedSys->traceSink())
-                          .find("\"sampled-fold\""),
-                      std::string::npos)
-                << "predecode " << pd;
-        }
-    }
-    for (const std::string &j : cycleJson) {
-        EXPECT_EQ(j, cycleJson[0]);
-        EXPECT_EQ(j.find("\"fidelity\""), std::string::npos);
-    }
-    for (const std::string &j : sampledJson) {
-        EXPECT_EQ(j, sampledJson[0]);
-        EXPECT_NE(j.find("\"fidelity\":{\"tier\":\"sampled\""),
-                  std::string::npos);
-    }
+    cfg.fidelity = Fidelity::Sampled;
+    RunResult sampledRes = runLongLoop(cfg);
+    std::string sampledJson = sampledRes.toJson();
+    EXPECT_NE(sampledJson.find("\"fidelity\":{\"tier\":\"sampled\""),
+              std::string::npos);
+
+    cfg.trace = true;
+    ImagineSystem *raw = nullptr;
+    RunResult traced = runLongLoop(cfg, &raw);
+    std::unique_ptr<ImagineSystem> tracedSys(raw);
+    // Trace-off output is the exact prefix of trace-on output, up to
+    // the closing brace the trace block goes in front of.
+    std::string head = sampledJson;
+    head.pop_back();
+    std::string on = traced.toJson();
+    EXPECT_EQ(on.compare(0, head.size(), head), 0);
+    EXPECT_EQ(on.compare(head.size(), 9, ",\"trace\":"), 0);
+    ASSERT_NE(tracedSys->traceSink(), nullptr);
+    EXPECT_NE(trace::toPerfettoJson(*tracedSys->traceSink())
+                  .find("\"sampled-fold\""),
+              std::string::npos);
+
     EXPECT_EQ(sampledRes.fidelity, Fidelity::Sampled);
     ASSERT_FALSE(sampledRes.kernelFolds.empty());
     EXPECT_GT(sampledRes.estimatedCycles, 0u);
@@ -655,7 +617,7 @@ struct SweepOutcome
 SweepOutcome
 sweepSeed(int seed)
 {
-    // Rotate machine shape, engine mode, fraction and kernel family so
+    // Rotate machine shape, fraction and kernel family so
     // sixteen seeds cover the bandwidth/buffer corners that move the
     // stall rate the estimator extrapolates.
     MachineConfig cfg = bigRigConfig();
@@ -663,7 +625,6 @@ sweepSeed(int seed)
     static const int sb[2] = {16, 32};
     cfg.srfBandwidthWordsPerCycle = bw[seed % 4];
     cfg.streamBufferWords = sb[(seed / 4) % 2];
-    cfg.predecode = (seed % 2) == 0;
     static const char *fams[4] = {"conv7x7", "dct8x8", "panelAxpy",
                                   "srfCopy"};
     const std::string want = fams[(seed / 2) % 4];
@@ -678,7 +639,7 @@ sweepSeed(int seed)
         if (name != want)
             continue;
         CompiledKernel k = compile(std::move(graph), cfg);
-        auto inputs = inputsFor(k, trip);
+        auto inputs = patternInputs(k, trip);
         FidOutcome ex = driveFidRig(cfg, k, inputs, false);
         FidOutcome sa = driveFidRig(cfg, k, inputs, true, fraction);
         o.exactCycles = ex.cycles;

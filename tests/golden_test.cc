@@ -2,9 +2,9 @@
  * @file
  * Cross-commit golden results.
  *
- * Every other identity test compares two modes of one binary (predecode
- * on vs off, trace on vs off, straight vs restored), so a change that moves
- * cycles in every mode at once passes all of them.  This test pins an
+ * Every other identity test compares two modes of one binary (trace on
+ * vs off, straight vs restored), so a change that moves cycles in every
+ * mode at once passes all of them.  This test pins an
  * FNV-1a hash of RunResult::toJson() - plus the cycle count, so a
  * failure reads clearly - for a fixed set of runs that together reach
  * every engine path with timing effect: the four apps on both machine

@@ -262,7 +262,7 @@ TEST(ServiceProtocolTest, ValidatesRequests)
     Request r = parseRequest(
         "{\"op\":\"run\",\"workload\":\"qrd\",\"tenant\":\"t\","
         "\"weight\":2.5,\"seed\":7,\"deadlineMs\":100,"
-        "\"config\":{\"predecode\":false,\"faults.enabled\":true},"
+        "\"config\":{\"trace\":true,\"faults.enabled\":true},"
         "\"params\":{\"rows\":64}}");
     EXPECT_EQ(r.op, Op::Run);
     EXPECT_EQ(r.run.workload, "qrd");
@@ -272,7 +272,7 @@ TEST(ServiceProtocolTest, ValidatesRequests)
     EXPECT_EQ(r.run.seed, 7u);
     EXPECT_EQ(r.run.config.faults.seed, 7u);
     EXPECT_EQ(r.run.deadlineMs, 100u);
-    EXPECT_FALSE(r.run.config.predecode);
+    EXPECT_TRUE(r.run.config.trace);
     EXPECT_TRUE(r.run.config.faults.enabled);
 
     EXPECT_EQ(protocolErrorCode("not json"), "bad-request");
@@ -287,19 +287,73 @@ TEST(ServiceProtocolTest, ValidatesRequests)
                   "\"config\":{\"warpFactor\":9}}"),
               "bad-request");
     // A removed engine knob is an unknown field like any other.
-    try {
-        parseRequest("{\"op\":\"run\",\"workload\":\"qrd\","
-                     "\"config\":{\"eventDriven\":false}}");
-        ADD_FAILURE() << "eventDriven override was accepted";
-    } catch (const ProtocolError &e) {
-        EXPECT_EQ(e.code, "bad-request");
-        EXPECT_STREQ(e.what(), "config: unknown field \"eventDriven\"");
+    for (std::string knob : {"eventDriven", "predecode"}) {
+        try {
+            parseRequest("{\"op\":\"run\",\"workload\":\"qrd\","
+                         "\"config\":{\"" + knob + "\":false}}");
+            ADD_FAILURE() << knob << " override was accepted";
+        } catch (const ProtocolError &e) {
+            EXPECT_EQ(e.code, "bad-request");
+            EXPECT_EQ(std::string(e.what()),
+                      "config: unknown field \"" + knob + "\"");
+        }
     }
     EXPECT_EQ(protocolErrorCode(
                   "{\"op\":\"run\",\"workload\":\"qrd\","
                   "\"weight\":0}"),
               "bad-request");
     EXPECT_EQ(protocolErrorCode("{\"op\":\"cancel\"}"), "bad-request");
+}
+
+TEST(ServiceProtocolTest, RejectsOverridesTheMachineCannotRun)
+{
+    // Each of these once reached the simulator and killed the daemon
+    // (division by zero, heap corruption) or produced invalid JSON
+    // ("seconds":inf).  They must stop at validation instead.
+    struct Case
+    {
+        const char *field;
+        const char *value;
+        const char *message;
+    };
+    const Case bad[] = {
+        {"numChannels", "0", "numChannels: must be >= 1"},
+        {"memClockDivider", "0", "memClockDivider: must be >= 1"},
+        {"banksPerChannel", "0", "banksPerChannel: must be >= 1"},
+        {"rowWords", "0", "rowWords: must be >= 1"},
+        {"mcCacheWords", "0", "mcCacheWords: must be >= 1"},
+        {"sbInPorts", "-1", "sbInPorts: must be >= 1"},
+        {"sbOutPorts", "-1", "sbOutPorts: must be >= 1"},
+        {"sbInPorts", "0", "sbInPorts: must be >= 1"},
+        {"numAdders", "-1", "numAdders: must be >= 0"},
+        {"faults.maxRetries", "-3", "faults.maxRetries: must be >= 0"},
+        {"coreClockHz", "0", "coreClockHz: must be > 0"},
+        {"coreClockHz", "-1e9", "coreClockHz: must be > 0"},
+        {"hostMips", "0", "hostMips: must be > 0"},
+        {"hostMips", "-0.5", "hostMips: must be > 0"},
+    };
+    for (const Case &c : bad) {
+        std::string payload =
+            std::string("{\"op\":\"run\",\"workload\":\"qrd\","
+                        "\"config\":{\"") +
+            c.field + "\":" + c.value + "}}";
+        try {
+            parseRequest(payload);
+            ADD_FAILURE() << c.field << "=" << c.value << " was accepted";
+        } catch (const ProtocolError &e) {
+            EXPECT_EQ(e.code, "bad-request") << c.field;
+            EXPECT_STREQ(e.what(), c.message) << c.field << "=" << c.value;
+        }
+    }
+    // The bounds are inclusive: the smallest legal values still parse.
+    Request r = parseRequest(
+        "{\"op\":\"run\",\"workload\":\"qrd\",\"config\":{"
+        "\"numChannels\":1,\"mcCacheWords\":1,\"kernelStartupCycles\":0,"
+        "\"hostMips\":0.25}}");
+    EXPECT_EQ(r.run.config.numChannels, 1);
+    EXPECT_EQ(r.run.config.mcCacheWords, 1);
+    EXPECT_EQ(r.run.config.kernelStartupCycles, 0);
+    EXPECT_DOUBLE_EQ(r.run.config.hostMips, 0.25);
 }
 
 TEST(ServiceProtocolTest, RunResponseKeepsResultAsFinalMember)
@@ -464,6 +518,10 @@ TEST(ServiceE2ETest, MalformedTrafficGetsStructuredErrorsNotCrashes)
         {"request is not an object", jsonFrame("[1,2,3]"), true},
         {"unknown workload",
          jsonFrame("{\"op\":\"run\",\"workload\":\"nope\"}"), true},
+        {"config the machine cannot run",
+         jsonFrame("{\"op\":\"run\",\"workload\":\"qrd\","
+                   "\"config\":{\"numChannels\":0}}"),
+         true},
     };
     for (const Case &c : cases) {
         int raw = rawConnect(server->port());

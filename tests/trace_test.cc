@@ -14,7 +14,6 @@
  *  - well-formedness of the raw buffers and the Perfetto export,
  *  - Fig. 12 cross-check: trace-derived utilization numerators agree
  *    with the counter-based ones within 1%, span coverage >= 95%,
- *  - identical analytics with predecode on and off,
  *  - graceful degradation when the event cap is hit.
  */
 
@@ -285,31 +284,6 @@ TEST(TraceTest, Fig12CrossCheckDepth)
     }
     EXPECT_GT(srfBw, 0.0);
     EXPECT_GT(memBw, 0.0);
-}
-
-// ---------------------------------------------------------------------
-// Engine-mode invariance
-// ---------------------------------------------------------------------
-
-TEST(TraceTest, EngineModeDifferential)
-{
-    // The analytics must not depend on how the engine executed the
-    // kernels: interpreted and pre-decoded runs must produce the same
-    // RunResult JSON including the embedded trace analytics.
-    std::vector<std::string> jsons;
-    for (bool pd : {true, false}) {
-        MachineConfig cfg = MachineConfig::devBoard();
-        cfg.trace = true;
-        cfg.predecode = pd;
-        ImagineSystem sys(cfg);
-        apps::AppResult r = runDepthSmall(sys);
-        EXPECT_TRUE(r.validated);
-        ASSERT_NE(r.run.trace, nullptr);
-        uint64_t busy = r.run.cluster.busyTotal();
-        EXPECT_GE(r.run.trace->clusterBusyCycles * 100, busy * 95);
-        jsons.push_back(r.run.toJson());
-    }
-    EXPECT_EQ(jsons[1], jsons[0]) << "predecode off vs on";
 }
 
 // ---------------------------------------------------------------------
