@@ -103,23 +103,11 @@ srfCopyRate(int wordsPerCycle)
         .srfGBs;
 }
 
-void
-BM_Ablations(benchmark::State &state)
-{
-    double v = 0;
-    for (auto _ : state)
-        v = convRate(true);
-    state.counters["conv7x7_swp_GOPS"] = v;
-}
-BENCHMARK(BM_Ablations)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
-
     header("Ablation 1: software pipelining (conv7x7 kernel)");
     double with = convRate(true), without = convRate(false);
     std::printf("with SWP %.2f GOPS, without %.2f GOPS -> %.2fx from "

@@ -1,18 +1,17 @@
 /**
  * @file
- * Shared helpers for the per-table / per-figure benchmark binaries.
+ * Shared helpers for the per-table / per-figure paper binaries.
  *
- * Every binary follows the same pattern: run the relevant simulations,
- * register the headline runs with google-benchmark (one iteration each,
- * simulated metrics as counters), and print the paper-style table with
- * the paper's reference values alongside, so EXPERIMENTS.md can quote
- * paper-vs-measured directly from the output.
+ * Every binary is a plain executable that follows the same pattern:
+ * simulate each cell of its table once, print the paper-style table
+ * with the paper's reference values alongside (so EXPERIMENTS.md can
+ * quote paper-vs-measured directly from the output), and exit nonzero
+ * if any run failed its validation.  ctest runs all of them under the
+ * `paper` label.
  */
 
 #ifndef IMAGINE_BENCH_BENCH_UTIL_HH
 #define IMAGINE_BENCH_BENCH_UTIL_HH
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <functional>
@@ -128,12 +127,42 @@ floatWords(size_t n, uint64_t seed = 11)
     return v;
 }
 
-/** Run all four applications on a fresh system each. */
+/** Checks failed so far; exitStatus() turns the count into main()'s. */
+inline int failedChecks = 0;
+
+/** Count a failure of @p what, reported on stderr. */
+inline void
+fail(const std::string &what)
+{
+    std::fprintf(stderr, "FAIL: %s\n", what.c_str());
+    ++failedChecks;
+}
+
+/** Count @p r as a failure if its output did not validate. */
+inline void
+expectValid(const apps::AppResult &r, const std::string &what)
+{
+    if (!r.validated)
+        fail(what + " did not validate");
+}
+
+/** The exit code of a paper binary: nonzero once any check failed. */
+inline int
+exitStatus()
+{
+    return failedChecks ? 1 : 0;
+}
+
+/** The four applications' results. */
 struct AppRuns
 {
     apps::AppResult depth, mpeg, qrd, rtsl;
 };
 
+/**
+ * Run all four applications on a fresh system each; every app that
+ * does not validate counts as a failed check.
+ */
 inline AppRuns
 runAllApps(const MachineConfig &cfg)
 {
@@ -147,17 +176,11 @@ runAllApps(const MachineConfig &cfg)
           default: return apps::runRtsl(sys);
         }
     });
+    const char *names[] = {"DEPTH", "MPEG", "QRD", "RTSL"};
+    for (size_t i = 0; i < rs.size(); ++i)
+        expectValid(rs[i], names[i]);
     return AppRuns{std::move(rs[0]), std::move(rs[1]),
                    std::move(rs[2]), std::move(rs[3])};
-}
-
-/** Standard tail: pass remaining args to google-benchmark and run. */
-inline void
-runGoogleBenchmark(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
 }
 
 } // namespace imagine::bench

@@ -16,26 +16,10 @@
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace
-{
-
-std::vector<KernelRun> suite;
-
-void
-BM_Fig06(benchmark::State &state)
-{
-    for (auto _ : state)
-        suite = runKernelSuite();
-    (void)state;
-}
-BENCHMARK(BM_Fig06)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const std::vector<KernelRun> suite = runKernelSuite();
 
     header("Figure 6: Breakdown of kernel performance (% of kernel "
            "run time)");

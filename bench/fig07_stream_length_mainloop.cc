@@ -50,30 +50,11 @@ measure(int mainLoop, int prologue, uint32_t streamLen)
     return sys.run(prog).gops;
 }
 
-void
-BM_Fig07(benchmark::State &state)
-{
-    double g = 0;
-    for (auto _ : state)
-        g = measure(static_cast<int>(state.range(0)), 64,
-                    static_cast<uint32_t>(state.range(1)));
-    state.counters["GOPS"] = g;
-}
-BENCHMARK(BM_Fig07)
-    ->Args({8, 64})
-    ->Args({8, 1024})
-    ->Args({256, 64})
-    ->Args({256, 1024})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
-
     header("Figure 7: Kernel performance vs stream length "
            "(prologue fixed at 64 cycles)");
     const int mains[] = {8, 16, 32, 64, 128, 256};

@@ -46,30 +46,11 @@ measure(int prologue, uint32_t streamLen)
     return sys.run(prog).gops;
 }
 
-void
-BM_Fig08(benchmark::State &state)
-{
-    double g = 0;
-    for (auto _ : state)
-        g = measure(static_cast<int>(state.range(0)),
-                    static_cast<uint32_t>(state.range(1)));
-    state.counters["GOPS"] = g;
-}
-BENCHMARK(BM_Fig08)
-    ->Args({8, 64})
-    ->Args({256, 64})
-    ->Args({8, 4096})
-    ->Args({256, 4096})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
-
     header("Figure 8: Kernel performance vs stream length "
            "(main loop fixed at 32 cycles)");
     const int prologues[] = {8, 16, 32, 64, 128, 256};

@@ -12,131 +12,16 @@
  * row-miss bound.
  */
 
-#include "bench_util.hh"
+#include "mem_grid.hh"
 
 #include <iterator>
 
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace imagine::bench
-{
-
-struct MemPattern
-{
-    const char *name;
-    uint32_t stride, record;
-    uint32_t idxRange;      ///< 0 = strided pattern
-};
-
-inline const std::vector<MemPattern> &
-memPatterns()
-{
-    static const std::vector<MemPattern> p = {
-        {"record 1, stride 1", 1, 1, 0},
-        {"record 1, stride 2", 2, 1, 0},
-        {"record 4, stride 12", 12, 4, 0},
-        {"idx range 16", 0, 1, 16},
-        {"idx range 2K", 0, 1, 2048},
-        {"idx range 4M", 0, 1, 4u << 20},
-    };
-    return p;
-}
-
-/**
- * GB/s of @p ags concurrent loads of @p len words with pattern @p pat,
- * issued repeatedly from the host like the paper's micro-benchmark.
- */
-inline double
-memBandwidth(const MemPattern &pat, uint32_t len, int ags)
-{
-    ImagineSystem sys(MachineConfig::devBoard());
-    auto b = sys.newProgram();
-    int repeats = std::max<int>(2, static_cast<int>(32768 / len));
-    std::vector<int> idxSdr(static_cast<size_t>(ags), -1);
-    std::vector<uint32_t> dst(static_cast<size_t>(ags));
-    Rng rng(17);
-    for (int a = 0; a < ags; ++a) {
-        dst[a] = b.alloc(len);
-        if (pat.idxRange) {
-            uint32_t records = len / pat.record;
-            uint32_t off = b.alloc(records);
-            for (uint32_t i = 0; i < records; ++i)
-                sys.srf().write(off + i, rng.below(pat.idxRange));
-            idxSdr[a] = b.sdr(off, records);
-        }
-    }
-    for (int r = 0; r < repeats; ++r) {
-        for (int a = 0; a < ags; ++a) {
-            // Disjoint bases so the streams advance without aliasing.
-            Addr base = static_cast<Addr>(a) * (8u << 20);
-            if (pat.idxRange) {
-                b.load(b.marIndexed(base, pat.record),
-                       b.sdr(dst[a], len), idxSdr[a], "idxload");
-            } else {
-                b.load(b.marStride(base, pat.stride, pat.record),
-                       b.sdr(dst[a], len), -1, "load");
-            }
-        }
-    }
-    StreamProgram prog = b.take();
-    return sys.run(prog).memGBs;
-}
-
-/** Batch the full patterns x lengths grid for @p ags AGs and print it. */
-inline void
-printMemGrid(const uint32_t *lens, int nl, int ags)
-{
-    const auto &pats = memPatterns();
-    const int np = static_cast<int>(pats.size());
-    SimBatch batch;
-    std::vector<double> gbs = batch.run(np * nl, [&](int i) {
-        return memBandwidth(pats[static_cast<size_t>(i / nl)],
-                            lens[i % nl], ags);
-    });
-    std::printf("%-22s", "pattern\\len");
-    for (int l = 0; l < nl; ++l)
-        std::printf("%8u", lens[l]);
-    std::printf("\n");
-    for (int p = 0; p < np; ++p) {
-        std::printf("%-22s", pats[static_cast<size_t>(p)].name);
-        for (int l = 0; l < nl; ++l)
-            std::printf("%8.3f", gbs[static_cast<size_t>(p * nl + l)]);
-        std::printf("\n");
-    }
-}
-
-} // namespace imagine::bench
-
-#ifndef IMAGINE_BENCH_FIG10_INCLUDED
-
-namespace
-{
-
-void
-BM_Fig09(benchmark::State &state)
-{
-    double g = 0;
-    for (auto _ : state)
-        g = memBandwidth(memPatterns()[static_cast<size_t>(
-                             state.range(0))],
-                         static_cast<uint32_t>(state.range(1)), 1);
-    state.counters["GBs"] = g;
-}
-BENCHMARK(BM_Fig09)
-    ->Args({0, 16384})
-    ->Args({3, 16384})
-    ->Args({5, 16384})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
-
     header("Figure 9: Memory system performance from a single AG "
            "(GB/s)");
     const uint32_t lens[] = {8, 32, 128, 512, 2048, 8192, 16384};
@@ -147,5 +32,3 @@ main(int argc, char **argv)
                 "(0.8 GB/s); idx-4M is row-miss bound.\n");
     return 0;
 }
-
-#endif // IMAGINE_BENCH_FIG10_INCLUDED

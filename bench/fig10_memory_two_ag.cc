@@ -9,39 +9,16 @@
  * memory-controller cache).
  */
 
-#define IMAGINE_BENCH_FIG10_INCLUDED
-#include "fig09_memory_one_ag.cc"
+#include "mem_grid.hh"
+
+#include <iterator>
 
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace
-{
-
-void
-BM_Fig10(benchmark::State &state)
-{
-    double g = 0;
-    for (auto _ : state)
-        g = memBandwidth(memPatterns()[static_cast<size_t>(
-                             state.range(0))],
-                         static_cast<uint32_t>(state.range(1)), 2);
-    state.counters["GBs"] = g;
-}
-BENCHMARK(BM_Fig10)
-    ->Args({0, 8192})
-    ->Args({3, 8192})
-    ->Args({5, 8192})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
-
     header("Figure 10: Memory system performance from two AGs (GB/s)");
     const uint32_t lens[] = {8, 32, 128, 512, 2048, 4096, 8192};
     printMemGrid(lens, static_cast<int>(std::size(lens)), 2);

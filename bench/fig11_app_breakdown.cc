@@ -20,17 +20,6 @@ using namespace imagine::bench;
 namespace
 {
 
-AppRuns gApps;
-
-void
-BM_Fig11(benchmark::State &state)
-{
-    for (auto _ : state)
-        gApps = runAllApps(MachineConfig::isim());
-    (void)state;
-}
-BENCHMARK(BM_Fig11)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 void
 row(const char *name, const apps::AppResult &r, double *acc)
 {
@@ -56,9 +45,9 @@ row(const char *name, const apps::AppResult &r, double *acc)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns runs = runAllApps(MachineConfig::isim());
 
     header("Figure 11: Execution time breakdown of applications "
            "(ISIM preset; % of total cycles)");
@@ -66,10 +55,10 @@ main(int argc, char **argv)
                 "ml-ovh", "nonML", "clstall", "ucode", "mem", "sc",
                 "host");
     double acc[8] = {};
-    row("DEPTH", gApps.depth, acc);
-    row("MPEG", gApps.mpeg, acc);
-    row("QRD", gApps.qrd, acc);
-    row("RTSL", gApps.rtsl, acc);
+    row("DEPTH", runs.depth, acc);
+    row("MPEG", runs.mpeg, acc);
+    row("QRD", runs.qrd, acc);
+    row("RTSL", runs.rtsl, acc);
     std::printf("%-8s", "Average");
     for (double v : acc)
         std::printf("%8.1f", v / 4.0);
@@ -77,5 +66,5 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: kernel run time ~90%% for DEPTH, MPEG "
                 "and QRD (<10%% application-level overhead); RTSL loses "
                 ">30%% to memory and host-dependency stalls.\n");
-    return 0;
+    return exitStatus();
 }

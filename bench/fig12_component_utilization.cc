@@ -17,17 +17,6 @@ using namespace imagine::bench;
 namespace
 {
 
-AppRuns gApps;
-
-void
-BM_Fig12(benchmark::State &state)
-{
-    for (auto _ : state)
-        gApps = runAllApps(MachineConfig::devBoard());
-    (void)state;
-}
-BENCHMARK(BM_Fig12)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 void
 row(const char *name, const apps::AppResult &r)
 {
@@ -51,20 +40,20 @@ row(const char *name, const apps::AppResult &r)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns runs = runAllApps(MachineConfig::devBoard());
 
     header("Figure 12: Average sustained utilization of Imagine "
            "components (% of each component's peak)");
     std::printf("%-8s%10s%10s%10s%10s%10s\n", "App", "GOPS", "HostIF",
                 "MEM", "SRF", "LRF");
-    row("DEPTH", gApps.depth);
-    row("MPEG", gApps.mpeg);
-    row("QRD", gApps.qrd);
-    row("RTSL", gApps.rtsl);
+    row("DEPTH", runs.depth);
+    row("MPEG", runs.mpeg);
+    row("QRD", runs.qrd);
+    row("RTSL", runs.rtsl);
     std::printf("\nPaper shape: utilizations span orders of magnitude "
                 "per app (hence the log-scale radar plots); memory "
                 "stays far below the compute side.\n");
-    return 0;
+    return exitStatus();
 }

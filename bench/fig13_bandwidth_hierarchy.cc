@@ -13,26 +13,10 @@
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace
-{
-
-AppRuns gApps;
-
-void
-BM_Fig13(benchmark::State &state)
-{
-    for (auto _ : state)
-        gApps = runAllApps(MachineConfig::devBoard());
-    (void)state;
-}
-BENCHMARK(BM_Fig13)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns runs = runAllApps(MachineConfig::devBoard());
 
     header("Figure 13: Bandwidth hierarchy of applications (GB/s)");
     MachineConfig cfg;
@@ -49,13 +33,13 @@ main(int argc, char **argv)
         std::printf("%-8s%10.1f%10.2f%10.3f%13.0f:1\n", name,
                     r.run.lrfGBs, r.run.srfGBs, r.run.memGBs, ratio);
     };
-    row("DEPTH", gApps.depth);
-    row("MPEG", gApps.mpeg);
-    row("QRD", gApps.qrd);
-    row("RTSL", gApps.rtsl);
+    row("DEPTH", runs.depth);
+    row("MPEG", runs.mpeg);
+    row("QRD", runs.qrd);
+    row("RTSL", runs.rtsl);
     std::printf("\nMean LRF:DRAM ratio %.0f:1 (paper: > 350:1; "
                 "conclusion: real applications are not memory "
                 "bound).\n",
                 ratioSum / 4.0);
-    return 0;
+    return exitStatus();
 }

@@ -11,51 +11,34 @@
 
 #include "bench_util.hh"
 
+#include <iterator>
+
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace
-{
-
-apps::AppResult
-runAt(double mips)
-{
-    MachineConfig cfg = MachineConfig::devBoard();
-    cfg.hostMips = mips;
-    ImagineSystem sys(cfg);
-    return apps::runDepth(sys);
-}
-
-void
-BM_Fig14(benchmark::State &state)
-{
-    apps::AppResult r;
-    for (auto _ : state)
-        r = runAt(state.range(0) / 100.0);
-    state.counters["Mcycles"] = static_cast<double>(r.run.cycles) / 1e6;
-}
-BENCHMARK(BM_Fig14)
-    ->Arg(50)
-    ->Arg(203)
-    ->Arg(2000)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
-
     header("Figure 14: DEPTH execution time vs host interface "
            "bandwidth");
     const double mipsList[] = {0.5, 1.0, 2.03, 4.0, 8.0, 20.0, 50.0};
+    const int n = static_cast<int>(std::size(mipsList));
+    SimBatch batch;
+    std::vector<apps::AppResult> runs = batch.run(n, [&](int i) {
+        MachineConfig cfg = MachineConfig::devBoard();
+        cfg.hostMips = mipsList[i];
+        ImagineSystem sys(cfg);
+        return apps::runDepth(sys);
+    });
     std::printf("%8s %10s %9s %9s %9s %9s\n", "MIPS", "Mcycles",
                 "busy%", "host%", "mem%", "other%");
     double flat = 0;
-    for (double mips : mipsList) {
-        apps::AppResult r = runAt(mips);
+    for (int i = 0; i < n; ++i) {
+        const double mips = mipsList[i];
+        const apps::AppResult &r = runs[static_cast<size_t>(i)];
+        char what[32];
+        std::snprintf(what, sizeof what, "DEPTH at %.2f MIPS", mips);
+        expectValid(r, what);
         auto tot = static_cast<double>(r.run.cycles);
         const ExecBreakdown &b = r.run.breakdown;
         double busy = 100.0 * b.kernelTime() / tot;
@@ -69,10 +52,10 @@ main(int argc, char **argv)
                     mips, tot / 1e6, busy, host, mem, other,
                     static_cast<int>(r.validated));
     }
-    apps::AppResult slow = runAt(0.5);
+    // mipsList[0] is the 0.5 MIPS row.
     std::printf("\n0.5 MIPS is %.2fx the asymptotic execution time "
                 "(paper: below ~2 MIPS, time grows as 1/bandwidth; "
                 "at and above the demand point the curve is flat).\n",
-                static_cast<double>(slow.run.cycles) / flat);
-    return 0;
+                static_cast<double>(runs[0].run.cycles) / flat);
+    return exitStatus();
 }

@@ -12,8 +12,7 @@
  *    shapes (loop trips large enough to fold) and reporting the cycle
  *    error next to the wall speedup instead of asserting identity.
  *
- * This is a plain executable (not a google-benchmark binary) so it can
- * emit a machine-readable summary:
+ * It emits a machine-readable summary:
  *
  *   ./bench/perf_smoke [out.json]
  *

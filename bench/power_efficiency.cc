@@ -14,31 +14,13 @@
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace
-{
-
-RunResult peak;
-
-void
-BM_PowerEfficiency(benchmark::State &state)
-{
-    for (auto _ : state) {
-        ImagineSystem sys(MachineConfig::devBoard());
-        uint16_t k = sys.registerKernel(kernels::peakFlops());
-        peak = runKernelLoop(sys, k, {floatWords(8192)}, {8192}, 24, {},
-                             true);
-    }
-    state.counters["GFLOPS_per_W"] = peak.gflops / peak.watts;
-}
-BENCHMARK(BM_PowerEfficiency)->Iterations(1)->Unit(
-    benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    ImagineSystem sys(MachineConfig::devBoard());
+    uint16_t k = sys.registerKernel(kernels::peakFlops());
+    const RunResult peak = runKernelLoop(sys, k, {floatWords(8192)},
+                                         {8192}, 24, {}, true);
 
     header("Section 5.6: Power efficiency comparison");
     double gflopsPerW = peak.gflops / peak.watts;

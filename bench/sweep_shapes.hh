@@ -3,10 +3,9 @@
  * Shared sweep definitions: the machine-shape list and the
  * fidelity-stress application shapes.
  *
- * Deliberately free of google-benchmark so tests can include it too:
- * tests/config_sweep_test.cc and the bench binaries
- * (bench/table3_apps.cc, bench/perf_smoke.cc via bench_util.hh) sweep
- * the same shapes, so a knob added here lands in all of them.
+ * Included by tests/config_sweep_test.cc and the bench binaries
+ * (bench/table3_apps.cc via bench_util.hh, bench/perf_smoke.cc), which
+ * sweep the same shapes, so a knob added here lands in all of them.
  */
 
 #ifndef IMAGINE_BENCH_SWEEP_SHAPES_HH

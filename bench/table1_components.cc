@@ -28,8 +28,6 @@ struct Row
     double paperAchieved, paperTheoretical, paperWatts;
 };
 
-std::vector<Row> rows;
-
 double
 commOpsPerCycle(const RunResult &r)
 {
@@ -37,9 +35,10 @@ commOpsPerCycle(const RunResult &r)
                     : 0.0;
 }
 
-void
+std::vector<Row>
 runClusterPeaks()
 {
+    std::vector<Row> rows;
     const size_t n = 8192;
     {
         ImagineSystem sys(MachineConfig::devBoard());
@@ -76,9 +75,10 @@ runClusterPeaks()
                         sys.config().peakSrfBytes() / 1e9, "GB/s",
                         r.watts, 12.7, 12.8, 5.79});
     }
+    return rows;
 }
 
-void
+Row
 runMemoryPeak()
 {
     // Two concurrent loads over small random index ranges (the pattern
@@ -101,11 +101,11 @@ runMemoryPeak()
     }
     StreamProgram prog = b.take();
     RunResult r = sys.run(prog);
-    rows.push_back({"MEM", r.memGBs, sys.config().peakMemBytes() / 1e9,
-                    "GB/s", r.watts, 1.58, 1.60, 5.42});
+    return {"MEM", r.memGBs, sys.config().peakMemBytes() / 1e9,
+            "GB/s", r.watts, 1.58, 1.60, 5.42};
 }
 
-void
+Row
 runHostPeak()
 {
     // A flood of register writes: the dev board sustains ~2 MIPS
@@ -116,8 +116,8 @@ runHostPeak()
         b.ucr(i % 8, static_cast<Word>(i));
     StreamProgram prog = b.take();
     RunResult r = sys.run(prog);
-    rows.push_back({"Host Interface", r.hostMips, 20.0, "MIPS", r.watts,
-                    2.03, 20.0, 4.72});
+    return {"Host Interface", r.hostMips, 20.0, "MIPS", r.watts, 2.03,
+            20.0, 4.72};
 }
 
 double
@@ -149,26 +149,14 @@ microcodeThrash()
     return thrash / resident - 1.0;
 }
 
-void
-BM_Table1(benchmark::State &state)
-{
-    for (auto _ : state) {
-        rows.clear();
-        runClusterPeaks();
-        runMemoryPeak();
-        runHostPeak();
-    }
-    for (const Row &r : rows)
-        state.counters[r.name] = r.achieved;
-}
-BENCHMARK(BM_Table1)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    std::vector<Row> rows = runClusterPeaks();
+    rows.push_back(runMemoryPeak());
+    rows.push_back(runHostPeak());
 
     header("Table 1: Performance of Imagine components "
            "(this reproduction vs paper)");

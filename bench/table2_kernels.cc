@@ -14,27 +14,10 @@
 using namespace imagine;
 using namespace imagine::bench;
 
-namespace
-{
-
-std::vector<KernelRun> suite;
-
-void
-BM_Table2(benchmark::State &state)
-{
-    for (auto _ : state)
-        suite = runKernelSuite();
-    for (const KernelRun &k : suite)
-        state.counters[k.name] = k.rate();
-}
-BENCHMARK(BM_Table2)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const std::vector<KernelRun> suite = runKernelSuite();
 
     header("Table 2: Performance of representative kernels");
     std::printf("%-12s %10s %9s %9s %7s %7s %9s %9s\n", "Kernel", "ALU",

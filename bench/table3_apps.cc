@@ -17,20 +17,6 @@ using namespace imagine::bench;
 namespace
 {
 
-AppRuns gApps;
-
-void
-BM_Table3(benchmark::State &state)
-{
-    for (auto _ : state)
-        gApps = runAllApps(MachineConfig::devBoard());
-    state.counters["DEPTH_GOPS"] = gApps.depth.run.gops;
-    state.counters["MPEG_GOPS"] = gApps.mpeg.run.gops;
-    state.counters["QRD_GFLOPS"] = gApps.qrd.run.gflops;
-    state.counters["RTSL_GOPS"] = gApps.rtsl.run.gops;
-}
-BENCHMARK(BM_Table3)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 void
 row(const char *name, const apps::AppResult &r, bool fp,
     const char *paper)
@@ -45,31 +31,31 @@ row(const char *name, const apps::AppResult &r, bool fp,
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns runs = runAllApps(MachineConfig::devBoard());
 
     header("Table 3: Application performance");
     std::printf("%-6s %6s %-7s %6s %8s %6s %-44s %s\n", "App", "ALU",
                 "", "IPC", "Power", "", "summary (this reproduction)",
                 "paper");
-    row("DEPTH", gApps.depth, false,
+    row("DEPTH", runs.depth, false,
         "4.91 GOPS, 41.3 IPC, 212 fps, 7.49 W");
-    row("MPEG", gApps.mpeg, false,
+    row("MPEG", runs.mpeg, false,
         "7.36 GOPS, 33.3 IPC, 138 fps, 6.80 W");
-    row("QRD", gApps.qrd, true,
+    row("QRD", runs.qrd, true,
         "4.81 GFLOPS, 40.1 IPC, 326 QRD/s, 7.42 W");
-    row("RTSL", gApps.rtsl, false,
+    row("RTSL", runs.rtsl, false,
         "1.30 GOPS, 14.1 IPC, 44.9 fps, 5.91 W");
 
     double peakOps = 25.6, peakFlops = 8.0;
     std::printf("\nFraction of peak arithmetic rate (paper: 16%%-60%%, "
                 "RTSL lowest):\n");
     std::printf("  DEPTH %.0f%%  MPEG %.0f%%  QRD %.0f%%  RTSL %.0f%%\n",
-                100 * gApps.depth.run.gops / peakOps,
-                100 * gApps.mpeg.run.gops / peakOps,
-                100 * gApps.qrd.run.gflops / peakFlops,
-                100 * gApps.rtsl.run.gops / peakOps);
+                100 * runs.depth.run.gops / peakOps,
+                100 * runs.mpeg.run.gops / peakOps,
+                100 * runs.qrd.run.gflops / peakFlops,
+                100 * runs.rtsl.run.gops / peakOps);
 
     // Design-space sweep at the sampled fidelity tier (DESIGN.md
     // section 12): apps x machine shapes over one SimBatch, on the
@@ -103,9 +89,15 @@ main(int argc, char **argv)
         if (!sweep[i].ok()) {
             std::printf("%-14s %-6s ERR: %s\n", shape, app,
                         sweep[i].error->what());
+            fail(std::string(app) + " on " + shape + " errored");
             continue;
         }
         const RunResult &r = sweep[i].value->run;
+        // Golden validation fails by design on folded outputs (DESIGN.md
+        // section 12): only a run that folded nothing must validate.
+        if (r.estimatedCycles == 0)
+            expectValid(*sweep[i].value,
+                        std::string(app) + " on " + shape);
         double folded =
             r.cycles ? static_cast<double>(r.estimatedCycles) /
                            static_cast<double>(r.cycles)
@@ -117,5 +109,5 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.cycles),
                     100.0 * folded, 100.0 * maxBound);
     }
-    return 0;
+    return exitStatus();
 }

@@ -18,17 +18,6 @@ using namespace imagine::bench;
 namespace
 {
 
-AppRuns gApps;
-
-void
-BM_Table4(benchmark::State &state)
-{
-    for (auto _ : state)
-        gApps = runAllApps(MachineConfig::devBoard());
-    (void)state;
-}
-BENCHMARK(BM_Table4)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 uint64_t
 kinds(const apps::AppResult &r, StreamOpKind k)
 {
@@ -71,21 +60,21 @@ row(const char *name, const apps::AppResult &r)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns runs = runAllApps(MachineConfig::devBoard());
 
     header("Table 4: Histogram of stream operations per application");
     std::printf("%-7s%9s%8s%8s%8s%8s%6s%6s%9s%10s%8s\n", "App",
                 "Krnl+Rst", "Memory", "SDRwr", "MARwr", "UCRwr", "Move",
                 "Misc", "Total", "SDRreuse", "MIPS");
-    row("DEPTH", gApps.depth);
-    row("MPEG", gApps.mpeg);
-    row("QRD", gApps.qrd);
-    row("RTSL", gApps.rtsl);
+    row("DEPTH", runs.depth);
+    row("MPEG", runs.mpeg);
+    row("QRD", runs.qrd);
+    row("RTSL", runs.rtsl);
     std::printf("\nPaper: DEPTH 1.6 MIPS (the most; 717x SDR reuse), "
                 "others < 1 MIPS; total instruction counts DEPTH 17.7K, "
                 "MPEG 8.8K, QRD 19.3K, RTSL 16.6K order of "
                 "magnitude.\n");
-    return 0;
+    return exitStatus();
 }

@@ -17,17 +17,6 @@ using namespace imagine::bench;
 namespace
 {
 
-AppRuns gApps;
-
-void
-BM_Table5(benchmark::State &state)
-{
-    for (auto _ : state)
-        gApps = runAllApps(MachineConfig::devBoard());
-    (void)state;
-}
-BENCHMARK(BM_Table5)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 void
 row(const char *name, const apps::AppResult &r, const char *paper)
 {
@@ -50,19 +39,19 @@ row(const char *name, const apps::AppResult &r, const char *paper)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns runs = runAllApps(MachineConfig::devBoard());
 
     header("Table 5: Cluster characteristics of applications");
     std::printf("%-7s%14s%16s%16s   %s\n", "App", "kernel cyc",
                 "kernel stream", "memory stream",
                 "paper (cyc / words / words)");
-    row("DEPTH", gApps.depth, "1595 / 306 / 306");
-    row("MPEG", gApps.mpeg, "8244 / 1191 / 2543");
-    row("QRD", gApps.qrd, "2234 / 2087 / 1261");
-    row("RTSL", gApps.rtsl, "1022 / 642 / 642");
+    row("DEPTH", runs.depth, "1595 / 306 / 306");
+    row("MPEG", runs.mpeg, "8244 / 1191 / 2543");
+    row("QRD", runs.qrd, "2234 / 2087 / 1261");
+    row("RTSL", runs.rtsl, "1022 / 642 / 642");
     std::printf("\nPaper shape: DEPTH and RTSL have the shortest "
                 "kernels and streams; MPEG the longest kernels.\n");
-    return 0;
+    return exitStatus();
 }

@@ -18,19 +18,6 @@ using namespace imagine::bench;
 namespace
 {
 
-AppRuns lab, isim;
-
-void
-BM_Table6(benchmark::State &state)
-{
-    for (auto _ : state) {
-        lab = runAllApps(MachineConfig::devBoard());
-        isim = runAllApps(MachineConfig::isim());
-    }
-    (void)state;
-}
-BENCHMARK(BM_Table6)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 void
 row(const char *name, const apps::AppResult &l, const apps::AppResult &s,
     const char *paper)
@@ -44,9 +31,10 @@ row(const char *name, const apps::AppResult &l, const apps::AppResult &s,
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    runGoogleBenchmark(argc, argv);
+    const AppRuns lab = runAllApps(MachineConfig::devBoard());
+    const AppRuns isim = runAllApps(MachineConfig::isim());
 
     header("Table 6: Lab vs ISIM running cycles (Mcycles)");
     std::printf("%-7s%12s%12s%10s   %s\n", "App", "Lab", "ISIM", "gap",
@@ -57,5 +45,5 @@ main(int argc, char **argv)
     row("RTSL", lab.rtsl, isim.rtsl, "4.47 / 4.24 (+5.4%)");
     std::printf("\nPaper shape: the actual hardware is always slower "
                 "than simulation, within ~6%%.\n");
-    return 0;
+    return exitStatus();
 }

@@ -374,6 +374,28 @@ TEST(ClusterTest, ZeroTripEveryAppKernel)
     }
 }
 
+TEST(ClusterTest, ZeroTripLoopLessKernelRunsPrologueAndEpilogue)
+{
+    // A kernel with an empty loop references no iterations, so at trip
+    // 0 its prologue and epilogue still run: the scalar computed around
+    // the empty loop must reach its UCR.
+    KernelBuilder kb("scalar");
+    Val x = kb.iadd(kb.ucr(0), kb.immI(7));
+    kb.beginLoop();
+    kb.endLoop();
+    kb.ucrOut(1, kb.imul(x, kb.immI(3)));
+    MachineConfig cfg;
+    CompiledKernel k = compile(kb.finish(), cfg);
+
+    ClusterRig rig(cfg);
+    rig.ca.setUcr(0, intToWord(5));
+    auto out = rig.run(k, {});
+    EXPECT_TRUE(out.empty());
+    EXPECT_GT(rig.ca.stats().prologueCycles, 0u);
+    EXPECT_GT(rig.ca.stats().epilogueCycles, 0u);
+    EXPECT_EQ(wordToInt(rig.ca.ucr(1)), 36);
+}
+
 // ---------------------------------------------------------------------
 // Pinned rig goldens: every kernel family, outputs + cycles + counters.
 // ---------------------------------------------------------------------
