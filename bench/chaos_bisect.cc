@@ -2,12 +2,13 @@
  * @file
  * Chaos-seed bisection and sweep driver.
  *
- * Single-seed mode (default) reproduces one chaos run from the
- * tests/chaos_test.cc fault plan twice - once fault-free, once with the
- * seed's faults armed - archiving a checkpoint at every k-cycle
- * boundary via ImagineSystem::setCheckpointHook, then binary-searches
- * the archives (ckpt::bisectDivergence) for the earliest interval where
- * the faulty machine's architectural state diverges from the clean one:
+ * Single-seed mode (default) reproduces one chaos run of the
+ * tests/chaos_test.cc campaign (bench::chaosConfig, keyed by the same
+ * run index) twice - once fault-free, once with the seed's faults
+ * armed - archiving a checkpoint at every k-cycle boundary via
+ * ImagineSystem::setCheckpointHook, then binary-searches the archives
+ * (ckpt::bisectDivergence) for the earliest interval where the faulty
+ * machine's architectural state diverges from the clean one:
  *
  *   chaos_bisect --app=depth --seed=7 --every=50000 --out=bisect_out
  *
@@ -30,6 +31,7 @@
 
 #include "apps/apps.hh"
 #include "ckpt/bisect.hh"
+#include "sweep_shapes.hh"
 
 using namespace imagine;
 using namespace imagine::apps;
@@ -39,72 +41,16 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** The fault plan of tests/chaos_test.cc, keyed by the same run index
- *  so a seed that fails there can be handed to --seed verbatim. */
-MachineConfig
-chaosConfig(uint64_t run)
-{
-    MachineConfig cfg = MachineConfig::devBoard();
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 0xc4a05ull * 1000 + run;
-    cfg.faults.srfFlipRate = 1e-4;
-    cfg.faults.dramFlipRate = 1e-4;
-    cfg.faults.ucodeCorruptRate = 0.05;
-    cfg.faults.stuckSlotRate = 1e-3;
-    cfg.faults.agStallRate = 1e-3;
-    cfg.faults.agStallBurstCycles = 32;
-    cfg.faults.maxRetries = 3;
-    switch (run % 3) {
-      case 0:
-        cfg.faults.srfEcc = EccMode::Secded;
-        cfg.faults.memEcc = EccMode::Secded;
-        break;
-      case 1:
-        cfg.faults.srfEcc = EccMode::Parity;
-        cfg.faults.memEcc = EccMode::Parity;
-        break;
-      default:
-        cfg.faults.srfEcc = EccMode::None;
-        cfg.faults.memEcc = EccMode::None;
-        break;
-    }
-    cfg.watchdogStagnationCycles = 200'000;
-    return cfg;
-}
-
-/** Small-input shapes shared with the chaos campaign tests. */
+/** Run the small shape of @p app (the chaos campaign's shapes). */
 AppResult
 runApp(const std::string &app, ImagineSystem &sys)
 {
-    if (app == "depth") {
-        DepthConfig cfg;
-        cfg.width = 128;
-        cfg.height = 42;
-        cfg.disparities = 4;
-        return runDepth(sys, cfg);
+    if (!bench::findSmallApp(app)) {
+        std::fprintf(stderr, "chaos_bisect: unknown app '%s'\n",
+                     app.c_str());
+        std::exit(2);
     }
-    if (app == "mpeg") {
-        MpegConfig cfg;
-        cfg.width = 64;
-        cfg.height = 32;
-        cfg.frames = 3;
-        return runMpeg(sys, cfg);
-    }
-    if (app == "qrd") {
-        QrdConfig cfg;
-        cfg.rows = 64;
-        cfg.cols = 16;
-        return runQrd(sys, cfg);
-    }
-    if (app == "rtsl") {
-        RtslConfig cfg;
-        cfg.screen = 64;
-        cfg.triangles = 256;
-        cfg.batch = 64;
-        return runRtsl(sys, cfg);
-    }
-    std::fprintf(stderr, "chaos_bisect: unknown app '%s'\n", app.c_str());
-    std::exit(2);
+    return bench::runSmallApp(sys, app);
 }
 
 /** One side (clean or faulty) of a bisection: run the app archiving
@@ -153,7 +99,7 @@ bisectSeed(const std::string &app, uint64_t run, uint64_t every,
                 app.c_str(), (unsigned long long)run,
                 (unsigned long long)every);
 
-    MachineConfig faulty = chaosConfig(run);
+    MachineConfig faulty = bench::chaosConfig(run);
     faulty.checkpointEveryCycles = every;
     MachineConfig clean = faulty;
     clean.faults.enabled = false;
@@ -199,7 +145,7 @@ sweep(const std::vector<std::string> &apps, int n, uint64_t every,
     int violations = 0, clean = 0, explained = 0, reported = 0;
     for (const std::string &app : apps) {
         for (int i = 0; i < n; ++i) {
-            MachineConfig cfg = chaosConfig(static_cast<uint64_t>(i));
+            MachineConfig cfg = bench::chaosConfig(static_cast<uint64_t>(i));
             cfg.checkpointEveryCycles = every;
             std::string base =
                 (out / (app + ".seed" + std::to_string(i))).string();

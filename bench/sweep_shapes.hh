@@ -1,20 +1,24 @@
 /**
  * @file
- * Shared sweep definitions: the machine-shape list and the
- * fidelity-stress application shapes.
+ * Shared sweep definitions: the machine-shape list, the small and the
+ * fidelity-stress application shapes, and the chaos campaign config.
  *
- * Included by tests/config_sweep_test.cc and the bench binaries
- * (bench/table3_apps.cc via bench_util.hh, bench/perf_smoke.cc), which
- * sweep the same shapes, so a knob added here lands in all of them.
+ * Included by the tests (every test binary has bench/ on its include
+ * path) and the bench binaries (bench/table3_apps.cc via bench_util.hh,
+ * bench/perf_smoke.cc, bench/chaos_bisect.cc), which sweep the same
+ * shapes, so a knob added here lands in all of them.
  */
 
 #ifndef IMAGINE_BENCH_SWEEP_SHAPES_HH
 #define IMAGINE_BENCH_SWEEP_SHAPES_HH
 
+#include <string_view>
 #include <vector>
 
 #include "apps/apps.hh"
 #include "core/system.hh"
+#include "service/protocol.hh"
+#include "service/server.hh"
 
 namespace imagine::bench
 {
@@ -132,6 +136,67 @@ runStressApp(ImagineSystem &sys, int app)
       default:
         return apps::runRtsl(sys, apps::RtslConfig{});
     }
+}
+
+/**
+ * A small-input application run, named the way a service request names
+ * it: the workload and its "params" object.  These are the shapes of
+ * the chaos campaign, the engine-contract matrix and chaos_bisect.
+ */
+struct SmallApp
+{
+    const char *workload;
+    const char *params;     ///< JSON text of the request's "params"
+
+    /** The run request for this app (its config left at the default). */
+    service::RunRequest
+    request() const
+    {
+        service::RunRequest r;
+        r.workload = workload;
+        r.params = service::json::parse(params);
+        return r;
+    }
+};
+
+inline constexpr SmallApp kSmallApps[] = {
+    {"depth", R"({"width":128,"height":42,"disparities":4})"},
+    {"mpeg", R"({"width":64,"height":32,"frames":3})"},
+    {"qrd", R"({"rows":64,"cols":16})"},
+    {"rtsl", R"({"screen":64,"triangles":256,"batch":64})"},
+};
+
+/** The small shape of @p workload, or null if there is none. */
+inline const SmallApp *
+findSmallApp(std::string_view workload)
+{
+    for (const SmallApp &a : kSmallApps)
+        if (workload == a.workload)
+            return &a;
+    return nullptr;
+}
+
+/** Run the small shape of @p workload (depth|mpeg|qrd|rtsl) on @p sys. */
+inline apps::AppResult
+runSmallApp(ImagineSystem &sys, std::string_view workload)
+{
+    return service::runWorkload(sys, findSmallApp(workload)->request());
+}
+
+/**
+ * The chaos campaign's config for run @p run: FaultPlan::chaos seeded
+ * 0xc4a05 * 1000 + run, the ECC mode cycling Secded, Parity, None with
+ * the run index, and a 200k-cycle watchdog so a wedged small run is
+ * reported quickly.  ChaosTest's run index is chaos_bisect's --seed.
+ */
+inline MachineConfig
+chaosConfig(uint64_t run, MachineConfig cfg = MachineConfig::devBoard())
+{
+    static constexpr EccMode ecc[3] = {EccMode::Secded, EccMode::Parity,
+                                       EccMode::None};
+    cfg.faults = FaultPlan::chaos(0xc4a05ull * 1000 + run, ecc[run % 3]);
+    cfg.watchdogStagnationCycles = 200'000;
+    return cfg;
 }
 
 } // namespace imagine::bench

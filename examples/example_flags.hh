@@ -6,7 +6,7 @@
  *   --trace=FILE            cycle tracing + Perfetto trace_event output
  *   --seed=N                application input seed (and fault seed)
  *   --faults=MODE           fault injection: off|secded|parity|none
- *                           (ECC mode; rates match tests/chaos_test.cc)
+ *                           (ECC mode of the FaultPlan::chaos plan)
  *   --checkpoint=FILE       snapshot target; alone it only arms crash
  *                           snapshots (FILE.crash on SimError)
  *   --checkpoint-every=N    also snapshot FILE every N cycles
@@ -38,9 +38,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "service/client.hh"
-#include "service/json.hh"
+#include "service/protocol.hh"
 #include "sim/config.hh"
 
 namespace imagine::examples
@@ -87,14 +88,6 @@ parseExampleFlag(const char *arg, MachineConfig &mc, ExampleFlags &fl)
             mc.faults.enabled = false;
             return true;
         }
-        mc.faults.enabled = true;
-        mc.faults.srfFlipRate = 1e-4;
-        mc.faults.dramFlipRate = 1e-4;
-        mc.faults.ucodeCorruptRate = 0.05;
-        mc.faults.stuckSlotRate = 1e-3;
-        mc.faults.agStallRate = 1e-3;
-        mc.faults.agStallBurstCycles = 32;
-        mc.faults.maxRetries = 3;
         EccMode ecc;
         if (std::strcmp(v, "secded") == 0)
             ecc = EccMode::Secded;
@@ -108,8 +101,8 @@ parseExampleFlag(const char *arg, MachineConfig &mc, ExampleFlags &fl)
                          v);
             std::exit(2);
         }
-        mc.faults.srfEcc = ecc;
-        mc.faults.memEcc = ecc;
+        // Keeps the seed, so --seed works before or after --faults.
+        mc.faults = FaultPlan::chaos(mc.faults.seed, ecc);
         return true;
     }
     if (const char *v = val("--checkpoint=")) {
@@ -160,77 +153,30 @@ parseExampleFlag(const char *arg, MachineConfig &mc, ExampleFlags &fl)
  * --remote verification: replay this run on the isimd at
  * @p fl.remote with the same preset, seed, machine overrides and app
  * params, and require the returned result to be byte-identical to
- * @p localJson (the local run's RunResult::toJson()).  Only fields the
- * shared flags can change are sent as overrides, computed by diffing
- * @p mc against the devBoard baseline every example starts from.
- * Returns true on a byte-exact match; prints a diagnostic to stderr
- * and returns false otherwise.
+ * @p localJson (the local run's RunResult::toJson()).  The overrides
+ * are service::configOverrides of @p mc against the devBoard baseline
+ * every example starts from.  Returns true on a byte-exact match;
+ * prints a diagnostic to stderr and returns false otherwise.
  */
 inline bool
 verifyRemote(const ExampleFlags &fl, const MachineConfig &mc,
              const char *workload, const std::string &paramsJson,
              const std::string &localJson)
 {
-    const MachineConfig base = MachineConfig::devBoard();
-    std::string config;
-    auto add = [&](const std::string &member) {
-        config += (config.empty() ? "" : ",") + member;
-    };
-    auto num = [](double d) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-        return std::string(buf);
-    };
-    auto onOff = [](bool b) { return b ? "true" : "false"; };
-    auto eccName = [](EccMode m) {
-        switch (m) {
-        case EccMode::Secded: return "secded";
-        case EccMode::Parity: return "parity";
-        default: return "none";
-        }
-    };
-    if (mc.trace != base.trace)
-        add(std::string("\"trace\":") + onOff(mc.trace));
-    if (mc.fidelity != base.fidelity)
-        add("\"fidelity\":\"sampled\"");
-    if (mc.sampleLoopFraction != base.sampleLoopFraction)
-        add("\"sampleLoopFraction\":" + num(mc.sampleLoopFraction));
-    if (mc.checkpointEveryCycles != base.checkpointEveryCycles)
-        add("\"checkpointEveryCycles\":" +
-            std::to_string(mc.checkpointEveryCycles));
-    if (mc.checkpointPath != base.checkpointPath)
-        add("\"checkpointPath\":" +
-            service::json::quote(mc.checkpointPath));
-    if (mc.restorePath != base.restorePath)
-        add("\"restorePath\":" + service::json::quote(mc.restorePath));
-    if (mc.faults.enabled != base.faults.enabled)
-        add(std::string("\"faults.enabled\":") +
-            onOff(mc.faults.enabled));
-    if (mc.faults.enabled) {
-        add("\"faults.srfFlipRate\":" + num(mc.faults.srfFlipRate));
-        add("\"faults.dramFlipRate\":" + num(mc.faults.dramFlipRate));
-        add("\"faults.ucodeCorruptRate\":" +
-            num(mc.faults.ucodeCorruptRate));
-        add("\"faults.stuckSlotRate\":" + num(mc.faults.stuckSlotRate));
-        add("\"faults.agStallRate\":" + num(mc.faults.agStallRate));
-        add("\"faults.agStallBurstCycles\":" +
-            std::to_string(mc.faults.agStallBurstCycles));
-        add("\"faults.maxRetries\":" +
-            std::to_string(mc.faults.maxRetries));
-        add(std::string("\"faults.srfEcc\":\"") +
-            eccName(mc.faults.srfEcc) + "\"");
-        add(std::string("\"faults.memEcc\":\"") +
-            eccName(mc.faults.memEcc) + "\"");
+    std::vector<std::string> unsendable;
+    std::string config = service::configOverrides(
+        mc, MachineConfig::devBoard(), &unsendable);
+    if (!unsendable.empty()) {
+        std::fprintf(stderr, "--remote=%s: the wire cannot express %s\n",
+                     fl.remote, unsendable.front().c_str());
+        return false;
     }
-    // The "seed" request member covers faults.seed; no diff needed.
-
     std::string payload = std::string("{\"op\":\"run\",\"workload\":") +
                           service::json::quote(workload) +
                           ",\"preset\":\"devBoard\"";
     if (fl.seedSet)
         payload += ",\"seed\":" + std::to_string(fl.seed);
-    if (!config.empty())
-        payload += ",\"config\":{" + config + "}";
+    payload += ",\"config\":" + config;
     if (!paramsJson.empty())
         payload += ",\"params\":" + paramsJson;
     payload += "}";

@@ -39,13 +39,8 @@ fnv1a64(const void *p, size_t n, uint64_t h)
     return h;
 }
 
-/**
- * Hash every config field with architectural effect.  Deliberately
- * excluded: the trace knobs (a read-only observer) and the checkpoint
- * knobs themselves - a restored run may legitimately checkpoint
- * elsewhere, and restoring with tracing switched on is a supported (and
- * tested) use.
- */
+} // namespace
+
 uint64_t
 configFingerprint(const MachineConfig &c)
 {
@@ -113,6 +108,9 @@ configFingerprint(const MachineConfig &c)
     mix(c.clusterBindCacheKernels);
     return h;
 }
+
+namespace
+{
 
 uint64_t
 programFingerprint(const StreamProgram &p)

@@ -137,6 +137,16 @@ struct RunResult
  */
 void registerRunStats(StatsRegistry &reg, RunResult &r);
 
+/**
+ * FNV-1a hash of every config field with architectural effect: a
+ * checkpoint restores only onto a config with the same hash.
+ * Deliberately excluded: the trace knobs (a read-only observer) and
+ * the checkpoint knobs themselves - a restored run may legitimately
+ * checkpoint elsewhere, and restoring with tracing switched on is a
+ * supported (and tested) use.
+ */
+uint64_t configFingerprint(const MachineConfig &c);
+
 /** One Imagine processor plus host. */
 class ImagineSystem
 {

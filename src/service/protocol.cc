@@ -2,8 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
-#include <unordered_map>
+#include <map>
 
 #include "sim/error.hh"
 
@@ -82,6 +81,12 @@ strField(const json::Value &v, const char *key)
     return v.string;
 }
 
+int
+posIntField(const json::Value &v, const char *key)
+{
+    return intField(v, key, 1);
+}
+
 EccMode
 eccField(const json::Value &v, const char *key)
 {
@@ -95,139 +100,171 @@ eccField(const json::Value &v, const char *key)
     bad(std::string(key) + ": expected none|parity|secded");
 }
 
+Fidelity
+fidelityField(const json::Value &v, const char *key)
+{
+    std::string s = strField(v, key);
+    if (s == "cycle")
+        return Fidelity::Cycle;
+    if (s == "sampled")
+        return Fidelity::Sampled;
+    bad(std::string(key) + ": expected cycle|sampled");
+}
+
+// JSON text of one field value, as the override table parses it back.
+std::string
+text(int v)
+{
+    return std::to_string(v);
+}
+
+std::string
+text(uint64_t v)
+{
+    return std::to_string(v);
+}
+
+std::string
+text(bool v)
+{
+    return v ? "true" : "false";
+}
+
+std::string
+text(const std::string &v)
+{
+    return json::quote(v);
+}
+
+std::string
+text(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+std::string
+text(EccMode m)
+{
+    switch (m) {
+      case EccMode::Secded: return "\"secded\"";
+      case EccMode::Parity: return "\"parity\"";
+      default: return "\"none\"";
+    }
+}
+
+std::string
+text(Fidelity f)
+{
+    return f == Fidelity::Sampled ? "\"sampled\"" : "\"cycle\"";
+}
+
+/** One wire-settable MachineConfig field: its parser and its writer. */
+struct Field
+{
+    void (*set)(MachineConfig &, const json::Value &);
+    std::string (*get)(const MachineConfig &);
+};
+
 /**
- * The override whitelist.  One lambda per assignable field keeps the
- * mapping greppable; anything not listed is a bad-request by design
- * (engine-internal fields like restorePath stay reachable - a service
- * deployment that wants them sandboxed can reject at a higher layer).
+ * The override whitelist, by wire name.  Each entry both sets its field
+ * from JSON and writes it back, so configOverrides() is the exact
+ * inverse of applyConfigOverrides() field for field.  Anything not
+ * listed is a bad-request by design (engine-internal fields like
+ * restorePath stay reachable - a service deployment that wants them
+ * sandboxed can reject at a higher layer).
  */
-const std::unordered_map<
-    std::string,
-    std::function<void(MachineConfig &, const json::Value &)>> &
+const std::map<std::string, Field> &
 overrideTable()
 {
     using V = const json::Value &;
-    static const std::unordered_map<
-        std::string, std::function<void(MachineConfig &, V)>> table = {
-#define INT_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = intField(v, #name); }}
-#define POS_INT_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = intField(v, #name, 1); }}
-#define NUM_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = numField(v, #name); }}
-#define POS_NUM_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = posNumField(v, #name); }}
-#define U64_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = u64Field(v, #name); }}
-#define BOOL_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = boolField(v, #name); }}
-#define STR_FIELD(name) \
-    {#name, [](MachineConfig &c, V v) { c.name = strField(v, #name); }}
-        POS_NUM_FIELD(coreClockHz),
-        POS_INT_FIELD(memClockDivider),
-        INT_FIELD(numAdders),
-        INT_FIELD(numMultipliers),
-        POS_INT_FIELD(sbInPorts),
-        POS_INT_FIELD(sbOutPorts),
-        INT_FIELD(scratchpadWords),
-        INT_FIELD(lrfWordsPerCluster),
-        INT_FIELD(kernelStartupCycles),
-        INT_FIELD(kernelShutdownCycles),
-        INT_FIELD(srfSizeWords),
-        INT_FIELD(srfBandwidthWordsPerCycle),
-        INT_FIELD(streamBufferWords),
-        INT_FIELD(numAddressGenerators),
-        POS_INT_FIELD(numChannels),
-        POS_INT_FIELD(banksPerChannel),
-        POS_INT_FIELD(rowWords),
-        INT_FIELD(tRcd),
-        INT_FIELD(tCas),
-        INT_FIELD(tRp),
-        INT_FIELD(mcPipelineCycles),
-        POS_INT_FIELD(mcCacheWords),
-        BOOL_FIELD(quirkPrechargeBug),
-        INT_FIELD(ucodeStoreInstrs),
-        INT_FIELD(ucodeWordsPerInstr),
-        POS_NUM_FIELD(hostMips),
-        INT_FIELD(scoreboardSlots),
-        INT_FIELD(scIssueOverhead),
-        INT_FIELD(quirkIssueLatency),
-        INT_FIELD(hostRoundTripCycles),
-        INT_FIELD(nonPlaybackHostOverheadCycles),
-        U64_FIELD(watchdogStagnationCycles),
-        INT_FIELD(clusterBindCacheKernels),
-        BOOL_FIELD(trace),
-        U64_FIELD(traceMaxEvents),
-        NUM_FIELD(sampleLoopFraction),
-        U64_FIELD(checkpointEveryCycles),
-        STR_FIELD(checkpointPath),
-        STR_FIELD(restorePath),
-        {"fidelity",
-         [](MachineConfig &c, V v) {
-             std::string s = strField(v, "fidelity");
-             if (s == "cycle")
-                 c.fidelity = Fidelity::Cycle;
-             else if (s == "sampled")
-                 c.fidelity = Fidelity::Sampled;
-             else
-                 bad("fidelity: expected cycle|sampled");
-         }},
-        {"faults.enabled",
-         [](MachineConfig &c, V v) {
-             c.faults.enabled = boolField(v, "faults.enabled");
-         }},
-        {"faults.seed",
-         [](MachineConfig &c, V v) {
-             c.faults.seed = u64Field(v, "faults.seed");
-         }},
-        {"faults.srfFlipRate",
-         [](MachineConfig &c, V v) {
-             c.faults.srfFlipRate = numField(v, "faults.srfFlipRate");
-         }},
-        {"faults.dramFlipRate",
-         [](MachineConfig &c, V v) {
-             c.faults.dramFlipRate = numField(v, "faults.dramFlipRate");
-         }},
-        {"faults.ucodeCorruptRate",
-         [](MachineConfig &c, V v) {
-             c.faults.ucodeCorruptRate =
-                 numField(v, "faults.ucodeCorruptRate");
-         }},
-        {"faults.stuckSlotRate",
-         [](MachineConfig &c, V v) {
-             c.faults.stuckSlotRate = numField(v, "faults.stuckSlotRate");
-         }},
-        {"faults.agStallRate",
-         [](MachineConfig &c, V v) {
-             c.faults.agStallRate = numField(v, "faults.agStallRate");
-         }},
-        {"faults.agStallBurstCycles",
-         [](MachineConfig &c, V v) {
-             c.faults.agStallBurstCycles =
-                 intField(v, "faults.agStallBurstCycles");
-         }},
-        {"faults.maxRetries",
-         [](MachineConfig &c, V v) {
-             c.faults.maxRetries = intField(v, "faults.maxRetries");
-         }},
-        {"faults.srfEcc",
-         [](MachineConfig &c, V v) {
-             c.faults.srfEcc = eccField(v, "faults.srfEcc");
-         }},
-        {"faults.memEcc",
-         [](MachineConfig &c, V v) {
-             c.faults.memEcc = eccField(v, "faults.memEcc");
-         }},
-#undef INT_FIELD
-#undef POS_INT_FIELD
-#undef NUM_FIELD
-#undef POS_NUM_FIELD
-#undef U64_FIELD
-#undef BOOL_FIELD
-#undef STR_FIELD
+    static const std::map<std::string, Field> table = {
+#define FIELD(key, member, parse)                                        \
+    {key, {[](MachineConfig &c, V v) { c.member = parse(v, key); },      \
+           [](const MachineConfig &c) { return text(c.member); }}}
+#define CFG(name, parse) FIELD(#name, name, parse)
+        CFG(coreClockHz, posNumField),
+        CFG(memClockDivider, posIntField),
+        CFG(numAdders, intField),
+        CFG(numMultipliers, intField),
+        CFG(sbInPorts, posIntField),
+        CFG(sbOutPorts, posIntField),
+        CFG(scratchpadWords, intField),
+        CFG(lrfWordsPerCluster, intField),
+        CFG(kernelStartupCycles, intField),
+        CFG(kernelShutdownCycles, intField),
+        CFG(srfSizeWords, intField),
+        CFG(srfBandwidthWordsPerCycle, intField),
+        CFG(streamBufferWords, intField),
+        CFG(numAddressGenerators, intField),
+        CFG(numChannels, posIntField),
+        CFG(banksPerChannel, posIntField),
+        CFG(rowWords, posIntField),
+        CFG(tRcd, intField),
+        CFG(tCas, intField),
+        CFG(tRp, intField),
+        CFG(mcPipelineCycles, intField),
+        CFG(mcCacheWords, posIntField),
+        CFG(quirkPrechargeBug, boolField),
+        CFG(ucodeStoreInstrs, intField),
+        CFG(ucodeWordsPerInstr, intField),
+        CFG(hostMips, posNumField),
+        CFG(scoreboardSlots, intField),
+        CFG(scIssueOverhead, intField),
+        CFG(quirkIssueLatency, intField),
+        CFG(hostRoundTripCycles, intField),
+        CFG(nonPlaybackHostOverheadCycles, intField),
+        CFG(watchdogStagnationCycles, u64Field),
+        CFG(clusterBindCacheKernels, intField),
+        CFG(trace, boolField),
+        CFG(traceMaxEvents, u64Field),
+        CFG(fidelity, fidelityField),
+        CFG(sampleLoopFraction, numField),
+        CFG(checkpointEveryCycles, u64Field),
+        CFG(checkpointPath, strField),
+        CFG(restorePath, strField),
+        FIELD("faults.enabled", faults.enabled, boolField),
+        FIELD("faults.seed", faults.seed, u64Field),
+        FIELD("faults.srfFlipRate", faults.srfFlipRate, numField),
+        FIELD("faults.dramFlipRate", faults.dramFlipRate, numField),
+        FIELD("faults.ucodeCorruptRate", faults.ucodeCorruptRate,
+              numField),
+        FIELD("faults.stuckSlotRate", faults.stuckSlotRate, numField),
+        FIELD("faults.agStallRate", faults.agStallRate, numField),
+        FIELD("faults.agStallBurstCycles", faults.agStallBurstCycles,
+              intField),
+        FIELD("faults.maxRetries", faults.maxRetries, intField),
+        FIELD("faults.srfEcc", faults.srfEcc, eccField),
+        FIELD("faults.memEcc", faults.memEcc, eccField),
+#undef CFG
+#undef FIELD
     };
     return table;
 }
+
+/**
+ * The MachineConfig fields the override table cannot set, by name: a
+ * config that differs from its base in one of these cannot be sent.
+ */
+const std::pair<const char *, int MachineConfig::*> kUnsendable[] = {
+    {"latFpAdd", &MachineConfig::latFpAdd},
+    {"latFpMul", &MachineConfig::latFpMul},
+    {"latDsq", &MachineConfig::latDsq},
+    {"dsqOccupancy", &MachineConfig::dsqOccupancy},
+    {"latIntAdd", &MachineConfig::latIntAdd},
+    {"latIntMul", &MachineConfig::latIntMul},
+    {"latSubword", &MachineConfig::latSubword},
+    {"latSpRead", &MachineConfig::latSpRead},
+    {"latSpWrite", &MachineConfig::latSpWrite},
+    {"latComm", &MachineConfig::latComm},
+    {"latSbRead", &MachineConfig::latSbRead},
+    {"latSbWrite", &MachineConfig::latSbWrite},
+    {"latMov", &MachineConfig::latMov},
+    {"numSdrs", &MachineConfig::numSdrs},
+    {"numMars", &MachineConfig::numMars},
+    {"numUcrs", &MachineConfig::numUcrs},
+};
 
 } // namespace
 
@@ -241,8 +278,24 @@ applyConfigOverrides(MachineConfig &cfg, const json::Value &overrides)
         auto it = table.find(key);
         if (it == table.end())
             bad("config: unknown field \"" + key + "\"");
-        it->second(cfg, value);
+        it->second.set(cfg, value);
     }
+}
+
+std::string
+configOverrides(const MachineConfig &cfg, const MachineConfig &base,
+                std::vector<std::string> *unsendable)
+{
+    std::string out;
+    for (const auto &[key, field] : overrideTable()) {
+        std::string v = field.get(cfg);
+        if (v != field.get(base))
+            out += (out.empty() ? "{" : ",") + json::quote(key) + ":" + v;
+    }
+    for (const auto &[name, member] : kUnsendable)
+        if (cfg.*member != base.*member)
+            unsendable->push_back(name);
+    return out.empty() ? "{}" : out + "}";
 }
 
 Request

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "service/json.hh"
 #include "sim/config.hh"
@@ -129,6 +130,18 @@ std::string makePingResponse();
  */
 void applyConfigOverrides(MachineConfig &cfg,
                           const json::Value &overrides);
+
+/**
+ * The inverse of applyConfigOverrides: the "config" object (JSON text,
+ * "{}" when nothing differs) that turns @p base into @p cfg, covering
+ * every field the override table accepts.  Fields that differ but that
+ * the wire cannot set (the FU latencies, numSdrs, numMars, numUcrs) are
+ * appended to @p unsendable by name; the object reproduces @p cfg only
+ * when none is.
+ */
+std::string configOverrides(const MachineConfig &cfg,
+                            const MachineConfig &base,
+                            std::vector<std::string> *unsendable);
 
 } // namespace imagine::service
 

@@ -65,6 +65,31 @@ struct FaultPlan
     EccMode memEcc = EccMode::Secded;
     /** Re-issues of a fault-flagged op before giving up to SimError. */
     int maxRetries = 2;
+
+    /**
+     * The chaos-mode plan (README "Chaos mode", the examples'
+     * --faults=MODE): every site armed - SRF and DRAM flips at 1e-4,
+     * microcode-load corruption at 0.05, stuck completions and AG
+     * stalls at 1e-3 with 32-cycle bursts - 3 retries per flagged op,
+     * and @p ecc on both arrays.
+     */
+    static FaultPlan
+    chaos(uint64_t seed, EccMode ecc)
+    {
+        FaultPlan p;
+        p.enabled = true;
+        p.seed = seed;
+        p.srfFlipRate = 1e-4;
+        p.dramFlipRate = 1e-4;
+        p.ucodeCorruptRate = 0.05;
+        p.stuckSlotRate = 1e-3;
+        p.agStallRate = 1e-3;
+        p.agStallBurstCycles = 32;
+        p.maxRetries = 3;
+        p.srfEcc = ecc;
+        p.memEcc = ecc;
+        return p;
+    }
 };
 
 /** All architecture and board parameters, defaulted to the prototype. */

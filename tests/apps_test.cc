@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.hh"
+#include "sweep_shapes.hh"
 
 using namespace imagine;
 using namespace imagine::apps;
@@ -15,11 +16,8 @@ using namespace imagine::apps;
 TEST(AppTest, DepthValidates)
 {
     ImagineSystem sys(MachineConfig::devBoard());
-    DepthConfig cfg;
-    cfg.width = 128;
-    cfg.height = 42;    // 28 valid output rows = 7 bands
-    cfg.disparities = 4;
-    AppResult r = runDepth(sys, cfg);
+    // 128x42x4: 28 valid output rows = 7 bands.
+    AppResult r = bench::runSmallApp(sys, "depth");
     EXPECT_TRUE(r.validated);
     EXPECT_GT(r.run.gops, 0.5);
     EXPECT_EQ(r.run.breakdown.total(), r.run.cycles);

@@ -16,6 +16,7 @@
 
 #include "apps/apps.hh"
 #include "sim/runner.hh"
+#include "sweep_shapes.hh"
 
 using namespace imagine;
 using namespace imagine::apps;
@@ -197,17 +198,9 @@ MachineConfig
 batchChaosConfig(int i)
 {
     MachineConfig cfg = MachineConfig::devBoard();
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 0xba7c4ull * 1000 + static_cast<uint64_t>(i);
-    cfg.faults.srfFlipRate = 1e-4;
-    cfg.faults.dramFlipRate = 1e-4;
-    cfg.faults.ucodeCorruptRate = 0.05;
-    cfg.faults.stuckSlotRate = 1e-3;
-    cfg.faults.agStallRate = 1e-3;
-    cfg.faults.agStallBurstCycles = 32;
-    cfg.faults.maxRetries = 3;
-    cfg.faults.srfEcc = i % 2 ? EccMode::Parity : EccMode::Secded;
-    cfg.faults.memEcc = i % 2 ? EccMode::Parity : EccMode::Secded;
+    cfg.faults =
+        FaultPlan::chaos(0xba7c4ull * 1000 + static_cast<uint64_t>(i),
+                         i % 2 ? EccMode::Parity : EccMode::Secded);
     cfg.watchdogStagnationCycles = 200'000;
     return cfg;
 }
@@ -222,12 +215,8 @@ std::string
 chaosJob(int i)
 {
     ImagineSystem sys(batchChaosConfig(i));
-    DepthConfig cfg;
-    cfg.width = 128;
-    cfg.height = 42;
-    cfg.disparities = 4;
     try {
-        AppResult r = runDepth(sys, cfg);
+        AppResult r = bench::runSmallApp(sys, "depth");
         return std::string(r.validated ? "ok:" : "invalid:") +
                r.run.toJson();
     } catch (const SimError &e) {

@@ -15,6 +15,7 @@
 
 #include "apps/apps.hh"
 #include "sim/runner.hh"
+#include "sweep_shapes.hh"
 
 using namespace imagine;
 using namespace imagine::apps;
@@ -23,38 +24,6 @@ namespace
 {
 
 constexpr int kRunsPerApp = 50;
-
-MachineConfig
-chaosConfig(int run)
-{
-    MachineConfig cfg = MachineConfig::devBoard();
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 0xc4a05ull * 1000 + static_cast<uint64_t>(run);
-    cfg.faults.srfFlipRate = 1e-4;
-    cfg.faults.dramFlipRate = 1e-4;
-    cfg.faults.ucodeCorruptRate = 0.05;
-    cfg.faults.stuckSlotRate = 1e-3;
-    cfg.faults.agStallRate = 1e-3;
-    cfg.faults.agStallBurstCycles = 32;
-    cfg.faults.maxRetries = 3;
-    switch (run % 3) {
-      case 0:
-        cfg.faults.srfEcc = EccMode::Secded;
-        cfg.faults.memEcc = EccMode::Secded;
-        break;
-      case 1:
-        cfg.faults.srfEcc = EccMode::Parity;
-        cfg.faults.memEcc = EccMode::Parity;
-        break;
-      default:
-        cfg.faults.srfEcc = EccMode::None;
-        cfg.faults.memEcc = EccMode::None;
-        break;
-    }
-    // Small inputs: a wedged run must be reported quickly.
-    cfg.watchdogStagnationCycles = 200'000;
-    return cfg;
-}
 
 /** Data-only outcome of one chaos run (gtest asserts are not thread-
  *  safe, so batch jobs return this and checks happen on the main
@@ -69,15 +38,14 @@ struct ChaosOutcome
     std::string what;
 };
 
-/** One chaos run of @p runApp with the plan for run @p i. */
-template <typename RunApp>
+/** One chaos run of the small @p app with the plan for run @p i. */
 ChaosOutcome
-chaosRun(const RunApp &runApp, int i)
+chaosRun(const char *app, int i)
 {
     ChaosOutcome o;
-    ImagineSystem sys(chaosConfig(i));
+    ImagineSystem sys(bench::chaosConfig(static_cast<uint64_t>(i)));
     try {
-        AppResult r = runApp(sys);
+        AppResult r = bench::runSmallApp(sys, app);
         o.injected = r.run.faults.injected;
         o.silent = r.run.faults.silent;
         o.kind = r.validated ? ChaosOutcome::Kind::Clean
@@ -95,14 +63,13 @@ chaosRun(const RunApp &runApp, int i)
 }
 
 /** Run one campaign; every run must be clean, explained, or reported. */
-template <typename RunApp>
 void
-campaign(const char *name, const RunApp &runApp)
+campaign(const char *name, const char *app)
 {
     SimBatch batch;
     std::vector<Settled<ChaosOutcome>> settled =
         batch.runSettled(kRunsPerApp,
-                         [&](int i) { return chaosRun(runApp, i); });
+                         [&](int i) { return chaosRun(app, i); });
 
     // chaosRun converts every SimError to a ChaosOutcome itself, so an
     // error settling at the batch layer is a harness escape, not a
@@ -154,43 +121,20 @@ campaign(const char *name, const RunApp &runApp)
 
 TEST(ChaosTest, Depth)
 {
-    campaign("DEPTH", [](ImagineSystem &sys) {
-        DepthConfig cfg;
-        cfg.width = 128;
-        cfg.height = 42;
-        cfg.disparities = 4;
-        return runDepth(sys, cfg);
-    });
+    campaign("DEPTH", "depth");
 }
 
 TEST(ChaosTest, Mpeg)
 {
-    campaign("MPEG", [](ImagineSystem &sys) {
-        MpegConfig cfg;
-        cfg.width = 64;
-        cfg.height = 32;
-        cfg.frames = 3;
-        return runMpeg(sys, cfg);
-    });
+    campaign("MPEG", "mpeg");
 }
 
 TEST(ChaosTest, Qrd)
 {
-    campaign("QRD", [](ImagineSystem &sys) {
-        QrdConfig cfg;
-        cfg.rows = 64;
-        cfg.cols = 16;
-        return runQrd(sys, cfg);
-    });
+    campaign("QRD", "qrd");
 }
 
 TEST(ChaosTest, Rtsl)
 {
-    campaign("RTSL", [](ImagineSystem &sys) {
-        RtslConfig cfg;
-        cfg.screen = 64;
-        cfg.triangles = 256;
-        cfg.batch = 64;
-        return runRtsl(sys, cfg);
-    });
+    campaign("RTSL", "rtsl");
 }

@@ -2,21 +2,19 @@
  * @file
  * Checkpoint/restore tests.
  *
- * The load-bearing property is the differential: for every app, across
- * machine shapes and chaos seeds, (a) a run that writes
- * periodic checkpoints produces a RunResult byte-identical to a
- * straight run, and (b) a fresh session restored from a mid-run
- * snapshot finishes with the same byte-identical RunResult - including
- * runs that end in a SimError, which must re-raise the same kind and
- * message.  Plus: serializer primitives round-trip, mismatched restores
- * are rejected, and the bisect search pinpoints an injected fault's
+ * The load-bearing property - a checkpointing run and a run restored
+ * from a mid-run snapshot both end byte-identical to a straight run,
+ * SimErrors included - is arms K and R of the engine-contract matrix
+ * (tests/contract_test.cc), across every app, machine shape and chaos
+ * seed there.  Here: serializer primitives round-trip, corrupt and
+ * mismatched restores are rejected, restore honors the restoring run's
+ * trace knobs, and the bisect search pinpoints an injected fault's
  * divergence interval deterministically (cross-checked against a
  * linear scan).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -25,174 +23,12 @@
 #include "apps/apps.hh"
 #include "ckpt/bisect.hh"
 #include "ckpt/serializer.hh"
-#include "sim/runner.hh"
+#include "sweep_shapes.hh"
 
 using namespace imagine;
 using namespace imagine::apps;
 
 namespace fs = std::filesystem;
-
-namespace
-{
-
-constexpr int kSeedsPerApp = 24;
-
-/**
- * Machine shape and fault plan for one differential seed: three shapes
- * (dev board, isim, dev board with a single-entry bind cache to force
- * rebinds across restore), chaos-style faults with the ECC mode cycled.
- */
-MachineConfig
-shapeFor(int seed)
-{
-    MachineConfig cfg;
-    switch (seed % 3) {
-      case 0:
-        cfg = MachineConfig::devBoard();
-        break;
-      case 1:
-        cfg = MachineConfig::isim();
-        break;
-      default:
-        cfg = MachineConfig::devBoard();
-        cfg.clusterBindCacheKernels = 1;
-        break;
-    }
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 0x5eed7ull * 1000 + static_cast<uint64_t>(seed);
-    cfg.faults.srfFlipRate = 1e-4;
-    cfg.faults.dramFlipRate = 1e-4;
-    cfg.faults.ucodeCorruptRate = 0.02;
-    cfg.faults.stuckSlotRate = 1e-3;
-    cfg.faults.agStallRate = 1e-3;
-    cfg.faults.agStallBurstCycles = 32;
-    cfg.faults.maxRetries = 3;
-    cfg.faults.srfEcc =
-        seed % 3 == 0 ? EccMode::Secded
-                      : (seed % 3 == 1 ? EccMode::Parity : EccMode::None);
-    cfg.faults.memEcc = cfg.faults.srfEcc;
-    cfg.watchdogStagnationCycles = 200'000;
-    return cfg;
-}
-
-/** Data-only job outcome (gtest asserts are not thread-safe). */
-struct DiffOutcome
-{
-    bool ok = true;
-    std::string msg;
-};
-
-/** How one run ended: its JSON on success, the error otherwise. */
-struct RunEnd
-{
-    bool errored = false;
-    SimErrorKind kind = SimErrorKind::Hang;
-    std::string what;
-    std::string json;
-};
-
-template <typename RunApp>
-RunEnd
-endOf(const RunApp &runApp, ImagineSystem &sys)
-{
-    RunEnd e;
-    try {
-        e.json = runApp(sys).run.toJson();
-    } catch (const SimError &err) {
-        e.errored = true;
-        e.kind = err.kind();
-        e.what = err.what();
-    }
-    return e;
-}
-
-/** Straight run vs checkpointing run vs restored run, one seed. */
-template <typename RunApp>
-DiffOutcome
-diffRun(const char *app, const RunApp &runApp, int seed)
-{
-    auto fail = [&](const std::string &why) {
-        return DiffOutcome{false, std::string(app) + " seed " +
-                                      std::to_string(seed) + ": " + why};
-    };
-    fs::path dir = fs::temp_directory_path() /
-                   ("imagine_ckpt_" + std::string(app) + "_" +
-                    std::to_string(seed));
-    fs::create_directories(dir);
-
-    // A: the reference run, no checkpoint machinery at all.
-    RunEnd a;
-    uint64_t endCycles = 0;
-    {
-        ImagineSystem sys(shapeFor(seed));
-        a = endOf(runApp, sys);
-        endCycles = sys.now();
-    }
-    uint64_t k = endCycles / 5;
-    if (k == 0)
-        k = 50'000;
-
-    // B: identical run but snapshotting every k cycles, each boundary
-    // archived through the checkpoint hook.
-    std::vector<std::string> snaps;
-    {
-        MachineConfig cfg = shapeFor(seed);
-        cfg.checkpointEveryCycles = k;
-        cfg.checkpointPath = (dir / "b.ckpt").string();
-        ImagineSystem sys(cfg);
-        sys.setCheckpointHook([&](Cycle, const std::string &p) {
-            std::string dst =
-                (dir / ("snap." + std::to_string(snaps.size()) + ".ckpt"))
-                    .string();
-            fs::rename(p, dst);
-            snaps.push_back(dst);
-        });
-        RunEnd b = endOf(runApp, sys);
-        if (b.errored != a.errored)
-            return fail("checkpointing changed the outcome");
-        if (a.errored && (b.kind != a.kind || b.what != a.what))
-            return fail("checkpointing changed the error");
-        if (!a.errored && b.json != a.json)
-            return fail("checkpointing perturbed the RunResult");
-        if (a.errored && !fs::exists(cfg.checkpointPath + ".crash"))
-            return fail("errored run left no crash snapshot");
-    }
-
-    // C: fresh session restored from a mid-run snapshot must converge
-    // to the same end state.
-    if (!snaps.empty()) {
-        MachineConfig cfg = shapeFor(seed);
-        cfg.restorePath = snaps[snaps.size() / 2];
-        ImagineSystem sys(cfg);
-        RunEnd c = endOf(runApp, sys);
-        if (c.errored != a.errored)
-            return fail("restore changed the outcome");
-        if (a.errored && (c.kind != a.kind || c.what != a.what))
-            return fail("restore changed the error");
-        if (!a.errored && c.json != a.json)
-            return fail("restored run diverged from the straight run");
-    }
-
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    return {};
-}
-
-template <typename RunApp>
-void
-differential(const char *app, const RunApp &runApp)
-{
-    SimBatch batch;
-    std::vector<Settled<DiffOutcome>> settled = batch.runSettled(
-        kSeedsPerApp, [&](int i) { return diffRun(app, runApp, i); });
-    ASSERT_EQ(batch.failures(), 0u) << app;
-    for (int i = 0; i < kSeedsPerApp; ++i) {
-        const DiffOutcome &o = *settled[static_cast<size_t>(i)].value;
-        EXPECT_TRUE(o.ok) << o.msg;
-    }
-}
-
-} // namespace
 
 TEST(CkptTest, SerializerPrimitivesRoundTrip)
 {
@@ -284,10 +120,7 @@ TEST(CkptTest, MismatchedRestoreIsRejected)
                 fs::rename(p, snap);
             got = true;
         });
-        QrdConfig qc;
-        qc.rows = 64;
-        qc.cols = 16;
-        runQrd(sys, qc);
+        bench::runSmallApp(sys, "qrd");
         ASSERT_TRUE(got);
     }
     // ...then try to restore it onto a different machine shape: the
@@ -296,11 +129,8 @@ TEST(CkptTest, MismatchedRestoreIsRejected)
         MachineConfig cfg = MachineConfig::isim();
         cfg.restorePath = snap;
         ImagineSystem sys(cfg);
-        QrdConfig qc;
-        qc.rows = 64;
-        qc.cols = 16;
         try {
-            runQrd(sys, qc);
+            bench::runSmallApp(sys, "qrd");
             FAIL() << "mismatched restore was not rejected";
         } catch (const SimError &e) {
             EXPECT_EQ(e.kind(), SimErrorKind::Fatal);
@@ -341,10 +171,7 @@ archiveQrd(MachineConfig cfg, const fs::path &dir, const char *side,
         fs::copy_file(p, dst, fs::copy_options::overwrite_existing);
         snaps.push_back(dst);
     });
-    QrdConfig qc;
-    qc.rows = 64;
-    qc.cols = 16;
-    return runQrd(sys, qc).run.toJson();
+    return bench::runSmallApp(sys, "qrd").run.toJson();
 }
 
 std::string
@@ -353,10 +180,7 @@ restoredQrdJson(MachineConfig cfg, const std::string &snap,
 {
     cfg.restorePath = snap;
     ImagineSystem sys(cfg);
-    QrdConfig qc;
-    qc.rows = 64;
-    qc.cols = 16;
-    AppResult r = runQrd(sys, qc);
+    AppResult r = bench::runSmallApp(sys, "qrd");
     if (traced)
         *traced = r.run.trace != nullptr;
     return r.run.toJson();
@@ -381,10 +205,7 @@ TEST(CkptTest, RestoreHonorsRestoringRunsTraceKnobs)
     std::string golden;
     {
         ImagineSystem sys(MachineConfig::devBoard());
-        QrdConfig qc;
-        qc.rows = 64;
-        qc.cols = 16;
-        golden = runQrd(sys, qc).run.toJson();
+        golden = bench::runSmallApp(sys, "qrd").run.toJson();
     }
 
     // Untraced checkpointing run -> restore WITH tracing: the restored
@@ -423,70 +244,15 @@ TEST(CkptTest, RestoreHonorsRestoringRunsTraceKnobs)
     fs::remove_all(dir, ec);
 }
 
-TEST(CkptTest, DifferentialDepth)
-{
-    differential("depth", [](ImagineSystem &sys) {
-        DepthConfig cfg;
-        cfg.width = 128;
-        cfg.height = 42;
-        cfg.disparities = 4;
-        return runDepth(sys, cfg);
-    });
-}
-
-TEST(CkptTest, DifferentialMpeg)
-{
-    differential("mpeg", [](ImagineSystem &sys) {
-        MpegConfig cfg;
-        cfg.width = 64;
-        cfg.height = 32;
-        cfg.frames = 3;
-        return runMpeg(sys, cfg);
-    });
-}
-
-TEST(CkptTest, DifferentialQrd)
-{
-    differential("qrd", [](ImagineSystem &sys) {
-        QrdConfig cfg;
-        cfg.rows = 64;
-        cfg.cols = 16;
-        return runQrd(sys, cfg);
-    });
-}
-
-TEST(CkptTest, DifferentialRtsl)
-{
-    differential("rtsl", [](ImagineSystem &sys) {
-        RtslConfig cfg;
-        cfg.screen = 64;
-        cfg.triangles = 256;
-        cfg.batch = 64;
-        return runRtsl(sys, cfg);
-    });
-}
-
 TEST(CkptTest, BisectPinpointsInjectedFaultDeterministically)
 {
     fs::path dir = fs::temp_directory_path() / "imagine_ckpt_bisect";
     fs::create_directories(dir);
     constexpr uint64_t kEvery = 5'000;
 
-    // Fault plan matching chaos seed 2 (EccMode::None: corruption
-    // flows straight into architectural state).
-    MachineConfig faulty = MachineConfig::devBoard();
-    faulty.faults.enabled = true;
-    faulty.faults.seed = 0xc4a05ull * 1000 + 2;
-    faulty.faults.srfFlipRate = 1e-4;
-    faulty.faults.dramFlipRate = 1e-4;
-    faulty.faults.ucodeCorruptRate = 0.05;
-    faulty.faults.stuckSlotRate = 1e-3;
-    faulty.faults.agStallRate = 1e-3;
-    faulty.faults.agStallBurstCycles = 32;
-    faulty.faults.maxRetries = 3;
-    faulty.faults.srfEcc = EccMode::None;
-    faulty.faults.memEcc = EccMode::None;
-    faulty.watchdogStagnationCycles = 200'000;
+    // Chaos seed 2 (EccMode::None: corruption flows straight into
+    // architectural state).
+    MachineConfig faulty = bench::chaosConfig(2);
     faulty.checkpointEveryCycles = kEvery;
     MachineConfig clean = faulty;
     clean.faults.enabled = false;
@@ -503,11 +269,8 @@ TEST(CkptTest, BisectPinpointsInjectedFaultDeterministically)
             fs::rename(p, dst);
             snaps.push_back(dst);
         });
-        QrdConfig qc;
-        qc.rows = 64;
-        qc.cols = 16;
         try {
-            runQrd(sys, qc);
+            bench::runSmallApp(sys, "qrd");
         } catch (const SimError &) {
             // A crashing faulty run still leaves its archive.
         }

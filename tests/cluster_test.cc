@@ -2,11 +2,12 @@
  * @file
  * Tests for the cluster-array execution engine: functional correctness
  * of every op class under software pipelining, SIMD/COMM semantics,
- * conditional streams, restart carry-over, timing sanity, zero-trip
- * launches of every app kernel family, pinned cross-commit goldens of
- * every app kernel family (also checked against the reference
- * interpreter), bind-cache LRU behaviour, and a differential property
- * test against a reference interpreter.
+ * epilogue reads of loop values, conditional streams, restart
+ * carry-over, timing sanity, zero-trip launches of every app kernel
+ * family, pinned cross-commit goldens of every app kernel family (also
+ * checked against the reference interpreter), bind-cache LRU
+ * behaviour, and a differential property test against a reference
+ * interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "app_kernels.hh"
 #include "sim_test_util.hh"
 
+#include "kernelc/predecode.hh"
 #include "sim/rng.hh"
 
 using namespace imagine;
@@ -96,6 +98,35 @@ TEST(ClusterTest, ReductionWithEpilogue)
     ASSERT_EQ(out[0].size(), static_cast<size_t>(numClusters));
     for (int lane = 0; lane < numClusters; ++lane)
         EXPECT_FLOAT_EQ(wordToFloat(out[0][lane]), expect[lane]);
+}
+
+TEST(ClusterTest, EpilogueReadsTheLastIterationsLoopValue)
+{
+    // The epilogue consumes a plain loop value, not an accumulator: it
+    // must read the last iteration's row of the rotating value buffer,
+    // (trip - 1) & mask, and neither row 0 nor the row past the end.
+    KernelBuilder kb("lastvalue");
+    int s = kb.addInput();
+    int body = kb.addOutput();
+    int tail = kb.addOutput();
+    kb.beginLoop();
+    Val v = kb.imul(kb.read(s), kb.immI(3));
+    kb.write(body, v);
+    kb.endLoop();
+    kb.write(tail, kb.iadd(v, kb.immI(1)));
+    MachineConfig cfg;
+    CompiledKernel k = compile(kb.finish(), cfg);
+    LoweredKernel low = lower(k);
+    ASSERT_GT(low.depth, 1u);
+    const uint32_t trip = 38;
+    ASSERT_NE((trip - 1) & low.mask, 0u);
+
+    std::vector<Word> in(trip * numClusters);
+    for (uint32_t i = 0; i < in.size(); ++i)
+        in[i] = i * 7 + 1;
+    ClusterRig rig(cfg);
+    auto out = rig.run(k, {in});
+    EXPECT_EQ(out, ReferenceInterp(k.graph, {in}, trip).run());
 }
 
 TEST(ClusterTest, CommBroadcastAndRotate)

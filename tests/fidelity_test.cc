@@ -12,14 +12,15 @@
  * per-kernel errorBound) and folded output data.  And the tier must
  * disarm completely - byte-identical RunResult JSON - whenever folding
  * is ineligible (conditional outputs, short loops, zero trips) or
- * unsafe (fault injection armed, periodic checkpoints, restore).
+ * unsafe (fault injection armed, periodic checkpoints, restore).  The
+ * full-system side of both - the error bound of a fold, the traced
+ * Sampled arm, the disarm under faults and checkpoints, and the JSON
+ * schema - is arm S of the engine-contract matrix
+ * (tests/contract_test.cc).
  *
  *  - a cluster+SRF differential rig over every app/library kernel
  *    family at trip 4096, pinning the measured error to the bound,
  *  - zero-trip and short-loop (trip <= 2048) bit-identity fallbacks,
- *  - a full-system Cycle vs Sampled matrix with a traced Sampled arm,
- *  - faults / periodic checkpoints forcing full fidelity,
- *  - toJson() schema stability across the four applications,
  *  - trace re-arm after restore: a restored traced run's tail
  *    analytics must match the straight traced run's tail,
  *  - a 16-seed error sweep (the nightly CI gate) writing a report
@@ -34,7 +35,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -43,7 +43,6 @@
 #include "app_kernels.hh"
 #include "sim_test_util.hh"
 
-#include "apps/apps.hh"
 #include "sim/runner.hh"
 #include "trace/trace.hh"
 
@@ -51,7 +50,9 @@ using namespace imagine;
 using namespace imagine::kernelc;
 using imagine::testutil::allAppKernels;
 using imagine::testutil::ClusterRig;
+using imagine::testutil::kLongLoopSrfWords;
 using imagine::testutil::patternInputs;
+using imagine::testutil::runLongLoop;
 
 namespace fs = std::filesystem;
 
@@ -150,97 +151,12 @@ cycleError(const FidOutcome &sa, const FidOutcome &ex)
     return d / static_cast<double>(std::max<uint64_t>(ex.cycles, 1));
 }
 
-/** The small DEPTH shape the chaos/trace suites standardize on. */
-apps::AppResult
-runDepthSmall(ImagineSystem &sys)
-{
-    apps::DepthConfig dc;
-    dc.width = 128;
-    dc.height = 42;
-    dc.disparities = 4;
-    return apps::runDepth(sys, dc);
-}
-
 /** Drop the ,"trace":{...} suffix toJson appends when tracing is on. */
 std::string
 stripTrace(const std::string &s)
 {
     size_t i = s.find(",\"trace\":");
     return i == std::string::npos ? s : s.substr(0, i) + "}";
-}
-
-/** Drop the ,"fidelity":{...} block (brace-matched: it nests the
- *  per-kernel array). */
-std::string
-stripFidelity(const std::string &s)
-{
-    const std::string key = ",\"fidelity\":{";
-    size_t i = s.find(key);
-    if (i == std::string::npos)
-        return s;
-    size_t j = i + key.size();
-    int depth = 1;
-    while (j < s.size() && depth > 0) {
-        if (s[j] == '{')
-            ++depth;
-        else if (s[j] == '}')
-            --depth;
-        ++j;
-    }
-    return s.substr(0, i) + s.substr(j);
-}
-
-/** out[i] = in[i] + 7, over a loop long enough to fold. */
-KernelGraph
-warmGraph()
-{
-    KernelBuilder kb("warmstream");
-    int s = kb.addInput();
-    int o = kb.addOutput();
-    kb.beginLoop();
-    kb.write(o, kb.iadd(kb.read(s), kb.immI(7)));
-    kb.endLoop();
-    return kb.finish();
-}
-
-/** One load -> long kernel -> store program (trip 8192 per launch, far
- *  past the 2048 sampling threshold). */
-RunResult
-runLongLoop(MachineConfig cfg,
-            ImagineSystem **keepSys = nullptr,
-            std::vector<std::pair<Cycle, std::string>> *snaps = nullptr,
-            const fs::path *snapDir = nullptr)
-{
-    cfg.srfSizeWords = 256 * 1024;
-    auto sys = std::make_unique<ImagineSystem>(cfg);
-    uint16_t kid = sys->registerKernel(warmGraph());
-    const uint32_t trip = 8192;
-    const uint32_t n = trip * numClusters;
-    std::vector<Word> x(n);
-    for (uint32_t i = 0; i < n; ++i)
-        x[i] = (i * 37u) % 251u;
-    sys->memory().writeWords(0, x);
-    if (snaps) {
-        sys->setCheckpointHook([=](Cycle c, const std::string &p) {
-            std::string dst =
-                (*snapDir /
-                 ("snap." + std::to_string(snaps->size()) + ".ckpt"))
-                    .string();
-            fs::rename(p, dst);
-            snaps->emplace_back(c, dst);
-        });
-    }
-    auto b = sys->newProgram();
-    uint32_t s0 = b.alloc(n), s1 = b.alloc(n);
-    int d0 = b.sdr(s0, n), d1 = b.sdr(s1, n);
-    b.load(b.marStride(0), d0, -1, "load x");
-    b.kernel(kid, {d0}, {d1}, "warm");
-    b.store(b.marStride(200000), d1, -1, "store out");
-    StreamProgram prog = b.take();
-    RunResult r = sys->run(prog);
-    if (keepSys)
-        *keepSys = sys.release();
-    return r;
 }
 
 } // namespace
@@ -334,185 +250,6 @@ TEST(FidelityTest, ShortLoopFallbackBitIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Full-system: engine-mode matrix, gating, schema
-// ---------------------------------------------------------------------
-
-TEST(FidelityTest, EngineModeMatrixLongLoop)
-{
-    // Cycle vs Sampled: the Cycle run has no "fidelity" key; the
-    // Sampled run reports its tier and stays within the declared error
-    // bound of the Cycle run.  The Sampled arm also runs traced: the
-    // fold catch-up moves the trace clock every cycle, and tracing must
-    // not change what it observes.
-    MachineConfig cfg = MachineConfig::devBoard();
-    RunResult exact = runLongLoop(cfg);
-    const uint64_t exactCycles = exact.cycles;
-    EXPECT_EQ(exact.toJson().find("\"fidelity\""), std::string::npos);
-
-    cfg.fidelity = Fidelity::Sampled;
-    RunResult sampledRes = runLongLoop(cfg);
-    std::string sampledJson = sampledRes.toJson();
-    EXPECT_NE(sampledJson.find("\"fidelity\":{\"tier\":\"sampled\""),
-              std::string::npos);
-
-    cfg.trace = true;
-    ImagineSystem *raw = nullptr;
-    RunResult traced = runLongLoop(cfg, &raw);
-    std::unique_ptr<ImagineSystem> tracedSys(raw);
-    // Trace-off output is the exact prefix of trace-on output, up to
-    // the closing brace the trace block goes in front of.
-    std::string head = sampledJson;
-    head.pop_back();
-    std::string on = traced.toJson();
-    EXPECT_EQ(on.compare(0, head.size(), head), 0);
-    EXPECT_EQ(on.compare(head.size(), 9, ",\"trace\":"), 0);
-    ASSERT_NE(tracedSys->traceSink(), nullptr);
-    EXPECT_NE(trace::toPerfettoJson(*tracedSys->traceSink())
-                  .find("\"sampled-fold\""),
-              std::string::npos);
-
-    EXPECT_EQ(sampledRes.fidelity, Fidelity::Sampled);
-    ASSERT_FALSE(sampledRes.kernelFolds.empty());
-    EXPECT_GT(sampledRes.estimatedCycles, 0u);
-    double bound = 0.0;
-    for (const KernelFoldRecord &kf : sampledRes.kernelFolds)
-        bound = std::max(bound, kf.errorBound);
-    double err = std::abs(static_cast<double>(sampledRes.cycles) -
-                          static_cast<double>(exactCycles)) /
-                 static_cast<double>(exactCycles);
-    // The whole-run error dilutes the kernel-relative bound (host and
-    // memory phases are exact); a half-percent slack absorbs downstream
-    // DRAM state shifted by the estimated stall count.
-    EXPECT_LE(err, bound + 0.005)
-        << "sampled " << sampledRes.cycles << " vs exact "
-        << exactCycles;
-    EXPECT_LT(err, 0.02);
-}
-
-TEST(FidelityTest, FaultsForceFullFidelity)
-{
-    // An armed fault injector makes folding unsound (fault sites inside
-    // the folded window would never fire): a Sampled config must run -
-    // and serialize - exactly like the Cycle one.
-    auto fingerprint = [](Fidelity f) {
-        MachineConfig cfg = MachineConfig::devBoard();
-        cfg.fidelity = f;
-        cfg.faults.enabled = true;
-        // A seed whose fault pattern recovers (many wedge this small
-        // run outright; a wedged run never reaches toJson).
-        cfg.faults.seed = 0xf1de0000ull;
-        cfg.faults.srfFlipRate = 1e-4;
-        cfg.faults.dramFlipRate = 1e-4;
-        cfg.faults.ucodeCorruptRate = 0.02;
-        cfg.faults.stuckSlotRate = 1e-3;
-        cfg.faults.agStallRate = 1e-3;
-        cfg.faults.agStallBurstCycles = 32;
-        cfg.faults.maxRetries = 3;
-        cfg.faults.srfEcc = EccMode::Secded;
-        cfg.faults.memEcc = EccMode::Secded;
-        cfg.watchdogStagnationCycles = 200'000;
-        ImagineSystem sys(cfg);
-        apps::AppResult r = runDepthSmall(sys);
-        EXPECT_EQ(r.run.fidelity, Fidelity::Cycle);
-        return r.run.toJson();
-    };
-    std::string sampled = fingerprint(Fidelity::Sampled);
-    EXPECT_EQ(sampled, fingerprint(Fidelity::Cycle));
-    EXPECT_EQ(sampled.find("\"fidelity\""), std::string::npos);
-}
-
-TEST(FidelityTest, CheckpointForcesFullFidelity)
-{
-    // Periodic checkpoints must see the machine state real execution
-    // would have produced, so an active checkpointEveryCycles disarms
-    // the tier: both arms byte-identical, snapshots written either way.
-    fs::path dir = fs::temp_directory_path() / "imagine_fid_ckpt";
-    fs::create_directories(dir);
-    auto fingerprint = [&](Fidelity f) {
-        MachineConfig cfg = MachineConfig::devBoard();
-        cfg.fidelity = f;
-        cfg.checkpointEveryCycles = 20'000;
-        cfg.checkpointPath =
-            (dir / (f == Fidelity::Sampled ? "s.ckpt" : "c.ckpt"))
-                .string();
-        RunResult r = runLongLoop(cfg);
-        EXPECT_EQ(r.fidelity, Fidelity::Cycle);
-        EXPECT_EQ(r.estimatedCycles, 0u);
-        return r.toJson();
-    };
-    std::string sampled = fingerprint(Fidelity::Sampled);
-    EXPECT_EQ(sampled, fingerprint(Fidelity::Cycle));
-    EXPECT_EQ(sampled.find("\"fidelity\""), std::string::npos);
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-}
-
-TEST(FidelityTest, AppJsonSchemaStability)
-{
-    // Across all four applications: a Cycle run's JSON must not grow a
-    // "fidelity" key (byte-stability with pre-tier consumers), and a
-    // Sampled run's JSON must carry the block with the configured
-    // fraction - reverting to the exact bytes wherever nothing folded.
-    using AppFn = std::function<apps::AppResult(ImagineSystem &)>;
-    std::vector<std::pair<const char *, AppFn>> appsList = {
-        {"DEPTH", [](ImagineSystem &s) { return runDepthSmall(s); }},
-        {"MPEG",
-         [](ImagineSystem &s) {
-             apps::MpegConfig c;
-             c.width = 64;
-             c.height = 32;
-             c.frames = 3;
-             return apps::runMpeg(s, c);
-         }},
-        {"QRD",
-         [](ImagineSystem &s) {
-             apps::QrdConfig c;
-             c.rows = 64;
-             c.cols = 16;
-             return apps::runQrd(s, c);
-         }},
-        {"RTSL",
-         [](ImagineSystem &s) {
-             apps::RtslConfig c;
-             c.screen = 64;
-             c.triangles = 256;
-             c.batch = 64;
-             return apps::runRtsl(s, c);
-         }},
-    };
-    for (auto &[name, run] : appsList) {
-        MachineConfig cycleCfg = MachineConfig::devBoard();
-        ImagineSystem cycleSys(cycleCfg);
-        apps::AppResult rc = run(cycleSys);
-        EXPECT_TRUE(rc.validated) << name;
-        std::string cycleOut = rc.run.toJson();
-        EXPECT_EQ(cycleOut.find("\"fidelity\""), std::string::npos)
-            << name;
-
-        MachineConfig sampledCfg = cycleCfg;
-        sampledCfg.fidelity = Fidelity::Sampled;
-        sampledCfg.sampleLoopFraction = 0.1;
-        ImagineSystem sampledSys(sampledCfg);
-        apps::AppResult rs = run(sampledSys);
-        EXPECT_EQ(rs.run.fidelity, Fidelity::Sampled) << name;
-        EXPECT_EQ(rs.run.sampleLoopFraction, 0.1) << name;
-        std::string sampledOut = rs.run.toJson();
-        EXPECT_NE(
-            sampledOut.find("\"fidelity\":{\"tier\":\"sampled\","
-                            "\"sampleLoopFraction\":"),
-            std::string::npos)
-            << name;
-        if (rs.run.estimatedCycles == 0) {
-            // No launch cleared the sampling threshold: everything ran
-            // cycle-accurately, so stripping the block must recover the
-            // Cycle bytes exactly.
-            EXPECT_TRUE(rs.validated) << name;
-            EXPECT_EQ(stripFidelity(sampledOut), cycleOut) << name;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Trace re-arm after restore
 // ---------------------------------------------------------------------
 
@@ -526,11 +263,11 @@ TEST(FidelityTest, RestoreRearmsTraceTailAnalytics)
     fs::create_directories(dir);
 
     MachineConfig base = MachineConfig::devBoard();
+    base.srfSizeWords = kLongLoopSrfWords;
     base.trace = true;
 
-    ImagineSystem *aSysRaw = nullptr;
-    RunResult a = runLongLoop(base, &aSysRaw);
-    std::unique_ptr<ImagineSystem> aSys(aSysRaw);
+    auto aSys = std::make_unique<ImagineSystem>(base);
+    RunResult a = runLongLoop(*aSys).run;
     Cycle aEnd = aSys->now();
     ASSERT_NE(a.trace, nullptr);
 
@@ -541,8 +278,15 @@ TEST(FidelityTest, RestoreRearmsTraceTailAnalytics)
         MachineConfig cfg = base;
         cfg.checkpointEveryCycles = std::max<uint64_t>(aEnd / 4, 1000);
         cfg.checkpointPath = (dir / "live.ckpt").string();
-        RunResult b = runLongLoop(cfg, nullptr, &snaps, &dir);
-        EXPECT_EQ(b.toJson(), a.toJson());
+        ImagineSystem sys(cfg);
+        sys.setCheckpointHook([&](Cycle c, const std::string &p) {
+            std::string dst =
+                (dir / ("snap." + std::to_string(snaps.size()) + ".ckpt"))
+                    .string();
+            fs::rename(p, dst);
+            snaps.emplace_back(c, dst);
+        });
+        EXPECT_EQ(runLongLoop(sys).run.toJson(), a.toJson());
     }
     // aEnd is a multiple of the interval, so the last snapshot lands on
     // the final cycle with an empty tail; restore from the middle one
@@ -555,9 +299,8 @@ TEST(FidelityTest, RestoreRearmsTraceTailAnalytics)
     // back with null hooks and an empty tail.
     MachineConfig cfg = base;
     cfg.restorePath = snapPath;
-    ImagineSystem *cSysRaw = nullptr;
-    RunResult c = runLongLoop(cfg, &cSysRaw);
-    std::unique_ptr<ImagineSystem> cSys(cSysRaw);
+    auto cSys = std::make_unique<ImagineSystem>(cfg);
+    RunResult c = runLongLoop(*cSys).run;
     EXPECT_EQ(cSys->now(), aEnd);
     EXPECT_EQ(stripTrace(c.toJson()), stripTrace(a.toJson()));
     ASSERT_NE(c.trace, nullptr);

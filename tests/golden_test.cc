@@ -31,6 +31,7 @@
 #include "apps/apps.hh"
 #include "sim/fault.hh"
 #include "sim/runner.hh"
+#include "sweep_shapes.hh"
 
 using namespace imagine;
 using namespace imagine::apps;
@@ -111,17 +112,7 @@ MachineConfig
 chaos(uint64_t seed, EccMode ecc)
 {
     MachineConfig cfg = MachineConfig::devBoard();
-    cfg.faults.enabled = true;
-    cfg.faults.seed = seed;
-    cfg.faults.srfFlipRate = 1e-4;
-    cfg.faults.dramFlipRate = 1e-4;
-    cfg.faults.ucodeCorruptRate = 0.05;
-    cfg.faults.stuckSlotRate = 1e-3;
-    cfg.faults.agStallRate = 1e-3;
-    cfg.faults.agStallBurstCycles = 32;
-    cfg.faults.maxRetries = 3;
-    cfg.faults.srfEcc = ecc;
-    cfg.faults.memEcc = ecc;
+    cfg.faults = FaultPlan::chaos(seed, ecc);
     cfg.watchdogStagnationCycles = 200'000;
     return cfg;
 }
@@ -137,12 +128,8 @@ chaosDepthFingerprint(int i, uint64_t &cycles)
               i % 3 == 0 ? EccMode::Secded
                          : i % 3 == 1 ? EccMode::Parity : EccMode::None);
     ImagineSystem sys(cfg);
-    DepthConfig dc;
-    dc.width = 128;
-    dc.height = 42;
-    dc.disparities = 4;
     try {
-        AppResult r = runDepth(sys, dc);
+        AppResult r = bench::runSmallApp(sys, "depth");
         cycles += r.run.cycles;
         return std::string(r.validated ? "ok:" : "invalid:") +
                r.run.toJson();
@@ -232,10 +219,9 @@ cases()
     wideMpeg.frames = 1;
     // Small DEPTH on shapes other than the default: starved SRF
     // bandwidth, slow memory clock, shallow stream buffers.
-    DepthConfig smallDepth;
-    smallDepth.width = 128;
-    smallDepth.height = 42;
-    smallDepth.disparities = 4;
+    AppFn smallDepth = [](ImagineSystem &s) {
+        return bench::runSmallApp(s, "depth");
+    };
     auto shape = [&dev](int srfBw, int memDiv, int sbWords) {
         MachineConfig cfg = dev;
         cfg.srfBandwidthWordsPerCycle = srfBw;
@@ -278,13 +264,13 @@ cases()
         {"sampled.mpeg32768x16x1", on(sampled, mpeg(wideMpeg)),
          0x2dfac876884bf765ull, 2536402},
         {"sweep.srfBw4.memDiv2.sb16",
-         on(shape(4, 2, 16), depth(smallDepth)),
+         on(shape(4, 2, 16), smallDepth),
          0x2ae15c90ed3e1fa1ull, 145222},
         {"sweep.srfBw16.memDiv4.sb16",
-         on(shape(16, 4, 16), depth(smallDepth)),
+         on(shape(16, 4, 16), smallDepth),
          0x20003b1b7ef861b3ull, 145278},
         {"sweep.srfBw8.memDiv3.sb8",
-         on(shape(8, 3, 8), depth(smallDepth)),
+         on(shape(8, 3, 8), smallDepth),
          0x2e952b359bff64faull, 145250},
         {"chaos.depth.30seeds", chaosDepth30,
          0x7838c64e4e808441ull, 5881647},

@@ -3,9 +3,10 @@
  * Simulation-service tests (DESIGN.md section 13): the JSON reader,
  * wire framing against malformed byte streams, SFQ fairness as a unit
  * property, request validation, and an in-process end-to-end pass over
- * a real loopback server - including the remote-equals-local
- * byte-identity contract, cancellation, deadlines, queue-full
- * admission control and the drain state machine.
+ * a real loopback server - cancellation, deadlines, queue-full
+ * admission control and the drain state machine.  The remote-equals-
+ * local byte-identity contract is arm W of the engine-contract matrix
+ * (tests/contract_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +23,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "apps/apps.hh"
-#include "core/system.hh"
 #include "service/client.hh"
 #include "service/json.hh"
 #include "service/protocol.hh"
@@ -443,29 +442,6 @@ waitForAdmissions(Client &control, uint64_t admitted, uint64_t depth)
 }
 
 } // namespace
-
-TEST(ServiceE2ETest, RemoteRunMatchesLocalRunByteForByte)
-{
-    std::unique_ptr<Server> server = startServer(2, 64);
-    std::string local;
-    {
-        ImagineSystem sys(MachineConfig::devBoard());
-        apps::QrdConfig qc;
-        qc.rows = 64;
-        qc.cols = 16;
-        qc.seed = 99;
-        local = runQrd(sys, qc).run.toJson();
-    }
-    Client client(addr(*server));
-    std::string resp = client.call(runPayload("e2e", 99));
-    ASSERT_EQ(resp.rfind("{\"ok\":true", 0), 0u) << resp;
-    EXPECT_EQ(Client::extractResult(resp), local);
-
-    // Same request again: the persistent compile cache answers; the
-    // result bytes stay identical.
-    EXPECT_EQ(Client::extractResult(client.call(runPayload("e2e", 99))),
-              local);
-}
 
 namespace
 {

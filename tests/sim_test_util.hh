@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for simulator-level tests: a mini-rig that couples an
- * SRF with a cluster array, and a slow reference interpreter for kernel
- * graphs used as a differential-testing oracle.
+ * SRF with a cluster array, a slow reference interpreter for kernel
+ * graphs used as a differential-testing oracle, and a full-system
+ * program whose kernel loop is long enough to fold.
  */
 
 #ifndef IMAGINE_TESTS_SIM_TEST_UTIL_HH
@@ -12,7 +13,9 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/apps.hh"
 #include "cluster/cluster.hh"
+#include "core/system.hh"
 #include "kernelc/schedule.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
@@ -249,6 +252,50 @@ class ReferenceInterp
     std::vector<Word> ucrs_;
     std::map<std::tuple<uint32_t, uint32_t, int>, Word> memo_;
 };
+
+/** SRF capacity runLongLoop's two 64K-word streams need. */
+constexpr int kLongLoopSrfWords = 256 * 1024;
+
+/**
+ * One load -> kernel -> store program on @p sys computing
+ * out[i] = x[i] + 7 over 8192 iterations per lane, far past the 2048
+ * sampling threshold: the full-system case whose loop folds under
+ * Fidelity::Sampled.  @p sys needs srfSizeWords >= kLongLoopSrfWords.
+ * validated compares the stored stream with x + 7.
+ */
+inline apps::AppResult
+runLongLoop(ImagineSystem &sys)
+{
+    kernelc::KernelBuilder kb("warmstream");
+    int in = kb.addInput();
+    int out = kb.addOutput();
+    kb.beginLoop();
+    kb.write(out, kb.iadd(kb.read(in), kb.immI(7)));
+    kb.endLoop();
+    uint16_t kid = sys.registerKernel(kb.finish());
+
+    const uint32_t n = 8192 * numClusters;
+    const Addr outAddr = 200000;
+    std::vector<Word> x(n);
+    for (uint32_t i = 0; i < n; ++i)
+        x[i] = (i * 37u) % 251u;
+    sys.memory().writeWords(0, x);
+    auto b = sys.newProgram();
+    uint32_t s0 = b.alloc(n), s1 = b.alloc(n);
+    int d0 = b.sdr(s0, n), d1 = b.sdr(s1, n);
+    b.load(b.marStride(0), d0, -1, "load x");
+    b.kernel(kid, {d0}, {d1}, "warm");
+    b.store(b.marStride(outAddr), d1, -1, "store out");
+    StreamProgram prog = b.take();
+
+    apps::AppResult r;
+    r.run = sys.run(prog);
+    std::vector<Word> y = sys.memory().readWords(outAddr, n);
+    r.validated = true;
+    for (uint32_t i = 0; i < n; ++i)
+        r.validated = r.validated && y[i] == x[i] + 7;
+    return r;
+}
 
 } // namespace imagine::testutil
 

@@ -5,12 +5,11 @@
  * The contract under test: tracing is a pure observer.  With
  * MachineConfig::trace off nothing changes (the hooks are dead branches
  * on a null sink); with it on, cycle counts and every counter stay
- * bit-identical, and the recorded spans must be well formed (balanced,
- * monotonic per track, valid Perfetto JSON) and must re-derive the
- * counter-based statistics exactly:
+ * bit-identical - checked on every cell of the engine-contract matrix
+ * (tests/contract_test.cc, arm T) - and the recorded spans must be well
+ * formed (balanced, monotonic per track, valid Perfetto JSON) and must
+ * re-derive the counter-based statistics exactly:
  *
- *  - trace-off / trace-on RunResult bit-identity across all four apps
- *    and across chaos seeds with faults injected,
  *  - well-formedness of the raw buffers and the Perfetto export,
  *  - Fig. 12 cross-check: trace-derived utilization numerators agree
  *    with the counter-based ones within 1%, span coverage >= 95%,
@@ -19,12 +18,12 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hh"
 #include "service/json.hh"
+#include "sweep_shapes.hh"
 #include "trace/trace.hh"
 
 using namespace imagine;
@@ -38,49 +37,6 @@ stripTrace(const std::string &s)
 {
     size_t i = s.find(",\"trace\":");
     return i == std::string::npos ? s : s.substr(0, i) + "}";
-}
-
-/** The small DEPTH shape the chaos suites standardize on. */
-apps::AppResult
-runDepthSmall(ImagineSystem &sys)
-{
-    apps::DepthConfig dc;
-    dc.width = 128;
-    dc.height = 42;
-    dc.disparities = 4;
-    return apps::runDepth(sys, dc);
-}
-
-using AppFn = std::function<apps::AppResult(ImagineSystem &)>;
-
-std::vector<std::pair<const char *, AppFn>>
-allApps()
-{
-    std::vector<std::pair<const char *, AppFn>> v;
-    v.emplace_back("DEPTH", [](ImagineSystem &sys) {
-        return runDepthSmall(sys);
-    });
-    v.emplace_back("MPEG", [](ImagineSystem &sys) {
-        apps::MpegConfig cfg;
-        cfg.width = 64;
-        cfg.height = 32;
-        cfg.frames = 3;
-        return apps::runMpeg(sys, cfg);
-    });
-    v.emplace_back("QRD", [](ImagineSystem &sys) {
-        apps::QrdConfig cfg;
-        cfg.rows = 64;
-        cfg.cols = 16;
-        return apps::runQrd(sys, cfg);
-    });
-    v.emplace_back("RTSL", [](ImagineSystem &sys) {
-        apps::RtslConfig cfg;
-        cfg.screen = 64;
-        cfg.triangles = 256;
-        cfg.batch = 64;
-        return apps::runRtsl(sys, cfg);
-    });
-    return v;
 }
 
 /** True when @p text parses as one JSON value.  The service parser is
@@ -102,84 +58,6 @@ parses(const std::string &text)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Trace-off / trace-on bit-identity
-// ---------------------------------------------------------------------
-
-TEST(TraceTest, OffOnBitIdentityApps)
-{
-    // Every hook must be a read-only observer: enabling the sink may
-    // append a "trace" JSON field but must not move a single cycle or
-    // counter, for any of the four applications.
-    for (auto &[name, run] : allApps()) {
-        MachineConfig off = MachineConfig::devBoard();
-        MachineConfig on = off;
-        on.trace = true;
-        ImagineSystem offSys(off);
-        apps::AppResult roff = run(offSys);
-        ImagineSystem onSys(on);
-        apps::AppResult ron = run(onSys);
-        EXPECT_TRUE(roff.validated) << name;
-        EXPECT_TRUE(ron.validated) << name;
-        EXPECT_EQ(ron.run.cycles, roff.run.cycles) << name;
-        ASSERT_NE(ron.run.trace, nullptr) << name;
-        EXPECT_EQ(roff.run.trace, nullptr) << name;
-        std::string joff = roff.run.toJson();
-        std::string jon = ron.run.toJson();
-        EXPECT_NE(jon, joff) << name;   // the trace field is present...
-        EXPECT_EQ(stripTrace(jon), joff) << name;   // ...and is all of it
-    }
-}
-
-TEST(TraceTest, ChaosOffOnBitIdentity)
-{
-    // Same invariant under fault injection (ECC corrections, retries,
-    // AG stall bursts), cycling the ECC mode across seeds: the fault
-    // trace and every counter must not notice the observer.
-    for (int run = 0; run < 9; ++run) {
-        MachineConfig cfg = MachineConfig::devBoard();
-        cfg.faults.enabled = true;
-        cfg.faults.seed = 0x7ace5ull * 1000 + static_cast<uint64_t>(run);
-        cfg.faults.srfFlipRate = 1e-4;
-        cfg.faults.dramFlipRate = 1e-4;
-        cfg.faults.ucodeCorruptRate = 0.05;
-        cfg.faults.stuckSlotRate = 1e-3;
-        cfg.faults.agStallRate = 1e-3;
-        cfg.faults.agStallBurstCycles = 32;
-        cfg.faults.maxRetries = 3;
-        switch (run % 3) {
-          case 0:
-            cfg.faults.srfEcc = EccMode::Secded;
-            cfg.faults.memEcc = EccMode::Secded;
-            break;
-          case 1:
-            cfg.faults.srfEcc = EccMode::Parity;
-            cfg.faults.memEcc = EccMode::Parity;
-            break;
-          default:
-            cfg.faults.srfEcc = EccMode::None;
-            cfg.faults.memEcc = EccMode::None;
-            break;
-        }
-        cfg.watchdogStagnationCycles = 200'000;
-
-        auto fingerprint = [&](bool traced) {
-            MachineConfig c = cfg;
-            c.trace = traced;
-            ImagineSystem sys(c);
-            try {
-                apps::AppResult r = runDepthSmall(sys);
-                return std::string(r.validated ? "ok:" : "invalid:") +
-                       stripTrace(r.run.toJson());
-            } catch (const SimError &e) {
-                return std::string("error:") + e.what();
-            }
-        };
-        EXPECT_EQ(fingerprint(true), fingerprint(false))
-            << "chaos seed " << run << " (ECC mode " << run % 3 << ")";
-    }
-}
-
-// ---------------------------------------------------------------------
 // Well-formedness
 // ---------------------------------------------------------------------
 
@@ -188,7 +66,7 @@ TEST(TraceTest, WellFormedPerfettoExport)
     MachineConfig cfg = MachineConfig::devBoard();
     cfg.trace = true;
     ImagineSystem sys(cfg);
-    apps::AppResult r = runDepthSmall(sys);
+    apps::AppResult r = bench::runSmallApp(sys, "depth");
     ASSERT_TRUE(r.validated);
 
     const trace::TraceSink *sink = sys.traceSink();
@@ -237,7 +115,7 @@ TEST(TraceTest, Fig12CrossCheckDepth)
     MachineConfig cfg = MachineConfig::devBoard();
     cfg.trace = true;
     ImagineSystem sys(cfg);
-    apps::AppResult r = runDepthSmall(sys);
+    apps::AppResult r = bench::runSmallApp(sys, "depth");
     ASSERT_TRUE(r.validated);
     ASSERT_NE(r.run.trace, nullptr);
     const trace::TraceAnalytics &t = *r.run.trace;
@@ -300,9 +178,9 @@ TEST(TraceTest, CapDegradation)
     small.traceMaxEvents = 64;
 
     ImagineSystem bigSys(big);
-    apps::AppResult rbig = runDepthSmall(bigSys);
+    apps::AppResult rbig = bench::runSmallApp(bigSys, "depth");
     ImagineSystem smallSys(small);
-    apps::AppResult rsmall = runDepthSmall(smallSys);
+    apps::AppResult rsmall = bench::runSmallApp(smallSys, "depth");
 
     EXPECT_TRUE(rbig.validated);
     EXPECT_TRUE(rsmall.validated);
