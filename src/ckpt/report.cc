@@ -48,7 +48,9 @@ loadHangReport(Deserializer &d)
     r.lastProgressCycle = d.u64();
     r.cycleLimit = d.u64();
     r.instrsRetired = d.u64();
-    r.slots.resize(d.u64());
+    // Fewest serialized bytes of a slot and of an AG entry.
+    constexpr size_t kSlotBytes = 36, kAgBytes = 15;
+    r.slots.resize(d.count(kSlotBytes));
     for (HangReport::SlotInfo &sl : r.slots) {
         sl.idx = d.u32();
         sl.label = d.str();
@@ -59,7 +61,7 @@ loadHangReport(Deserializer &d)
         sl.retries = d.i32();
     }
     r.depCycle = d.vec<uint32_t>();
-    r.ags.resize(d.u64());
+    r.ags.resize(d.count(kAgBytes));
     for (HangReport::AgInfo &ag : r.ags) {
         ag.ag = d.i32();
         ag.active = d.b();

@@ -180,7 +180,7 @@ Deserializer::checkedCount(uint64_t count, size_t elemSize) const
 {
     if (elemSize != 0 &&
         count > (sectionEnd_ - cursor_) / elemSize)
-        fail("oversized vector in section \"" + current_ + "\"");
+        fail("oversized count in section \"" + current_ + "\"");
     return static_cast<size_t>(count);
 }
 

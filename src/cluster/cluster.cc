@@ -919,10 +919,8 @@ ClusterArray::finishLoopBookkeeping()
 }
 
 bool
-ClusterArray::done() const
+ClusterArray::outsDrained() const
 {
-    if (phase_ != Phase::Done)
-        return false;
     for (const Binding &b : outs_)
         if (!srf_.outDrained(b.client))
             return false;
@@ -1181,12 +1179,13 @@ ClusterArray::loadState(ckpt::Deserializer &d)
     kernel_ = kernelAt(d.u32());
     lastKernel_ = kernelAt(d.u32());
     curBind_ = kernel_ ? &binds_[kernel_] : nullptr;
-    ins_.assign(d.u64(), Binding{});
+    constexpr size_t kBindingBytes = 8;     // i32 client, u32 length
+    ins_.assign(d.count(kBindingBytes), Binding{});
     for (Binding &b : ins_) {
         b.client = d.i32();
         b.length = d.u32();
     }
-    outs_.assign(d.u64(), Binding{});
+    outs_.assign(d.count(kBindingBytes), Binding{});
     for (Binding &b : outs_) {
         b.client = d.i32();
         b.length = d.u32();

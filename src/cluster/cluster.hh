@@ -127,8 +127,9 @@ class ClusterArray : public Component
                uint32_t explicitTrip = 0, bool restart = false);
 
     bool busy() const { return phase_ != Phase::Idle; }
-    /** Kernel retired and all output data drained into the SRF. */
-    bool done() const;
+    /** Kernel retired and all output data drained into the SRF (polled
+     *  every cycle: the phase test stays inline). */
+    bool done() const { return phase_ == Phase::Done && outsDrained(); }
     /** Return to idle (caller closes the SRF clients). */
     void retire();
 
@@ -187,6 +188,8 @@ class ClusterArray : public Component
     std::vector<KernelFoldRecord> drainFoldReport();
 
   private:
+    /** Every output stream of the finished kernel has drained. */
+    bool outsDrained() const;
     enum class Phase : uint8_t
     {
         Idle, Startup, Prologue, Loop, LoopDrain, Epilogue, Shutdown,

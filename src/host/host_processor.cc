@@ -48,7 +48,17 @@ HostProcessor::loadProgram(const StreamProgram &program, bool playback)
     budget_ = 0.0;
     blockedUntil_ = 0;
     playback_ = playback;
+    setCost();
     sc_.beginProgram(program);
+}
+
+void
+HostProcessor::setCost()
+{
+    cost_ = cfg_.hostCyclesPerInstr();
+    if (!playback_)
+        cost_ += cfg_.nonPlaybackHostOverheadCycles;
+    budgetCap_ = 2.0 * cost_;
 }
 
 void
@@ -57,10 +67,8 @@ HostProcessor::tick(Cycle now)
     if (!program_ || finished())
         return;
 
-    double cost = cfg_.hostCyclesPerInstr();
-    if (!playback_)
-        cost += cfg_.nonPlaybackHostOverheadCycles;
-    budget_ = std::min(budget_ + 1.0, 2.0 * cost);
+    const double cost = cost_;
+    budget_ = std::min(budget_ + 1.0, budgetCap_);
 
     if (blockedUntil_ > now) {
         ++stats_.dependencyStallCycles;
@@ -121,6 +129,7 @@ HostProcessor::loadState(ckpt::Deserializer &d)
     budget_ = d.f64();
     blockedUntil_ = d.u64();
     playback_ = d.b();
+    setCost();
 }
 
 } // namespace imagine

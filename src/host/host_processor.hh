@@ -80,11 +80,18 @@ class HostProcessor : public Component
     void setTrace(trace::TraceSink *sink);
 
   private:
+    /** Derive cost_ and budgetCap_ from the config and playback_. */
+    void setCost();
+
     const MachineConfig &cfg_;
     StreamController &sc_;
     const StreamProgram *program_ = nullptr;
     size_t next_ = 0;
     double budget_ = 0.0;       ///< accumulated interface capacity
+    /** Interface cycles per instruction, and twice that (the budget
+     *  cap), set by loadProgram() and loadState(). */
+    double cost_ = 0.0;
+    double budgetCap_ = 0.0;
     Cycle blockedUntil_ = 0;    ///< host-dependency round trip
     bool playback_ = true;
     trace::TraceSink *trace_ = nullptr;

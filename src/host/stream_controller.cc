@@ -118,12 +118,6 @@ StreamController::retireHostSide(uint32_t idx, StreamOpKind kind)
     ++stats_.kindCount[static_cast<int>(kind)];
 }
 
-bool
-StreamController::scoreboardFull() const
-{
-    return static_cast<int>(slots_.size()) >= cfg_.scoreboardSlots;
-}
-
 void
 StreamController::enqueue(uint32_t idx, const StreamInstr *instr)
 {
@@ -786,9 +780,16 @@ StreamController::saveState(ckpt::Serializer &s) const
 void
 StreamController::loadState(ckpt::Deserializer &d)
 {
-    slots_.assign(d.u64(), Slot{});
+    // Fewest serialized bytes of a slot, an SDR and a MAR.
+    constexpr size_t kSlotBytes = 38, kSdrBytes = 8, kMarBytes = 17;
+    slots_.assign(d.count(kSlotBytes), Slot{});
     for (Slot &sl : slots_) {
         sl.idx = d.u32();
+        if (sl.idx >= program_->instrs.size())
+            throw SimError(SimErrorKind::Fatal,
+                           strfmt("checkpoint scoreboard slot names "
+                                  "instruction %u of %zu",
+                                  sl.idx, program_->instrs.size()));
         sl.instr = &program_->instrs[sl.idx];
         sl.state = static_cast<SlotState>(d.u8());
         sl.issueDone = d.u64();
@@ -802,12 +803,12 @@ StreamController::loadState(ckpt::Deserializer &d)
     reservedAg_ = d.i32();
     issueBusy_ = d.b();
     issueBusyUntil_ = d.u64();
-    sdrs_.assign(d.u64(), Sdr{});
+    sdrs_.assign(d.count(kSdrBytes), Sdr{});
     for (Sdr &r : sdrs_) {
         r.srfOffset = d.u32();
         r.length = d.u32();
     }
-    mars_.assign(d.u64(), Mar{});
+    mars_.assign(d.count(kMarBytes), Mar{});
     for (Mar &m : mars_) {
         m.baseWord = d.u64();
         m.mode = static_cast<MarMode>(d.u8());

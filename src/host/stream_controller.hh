@@ -70,7 +70,11 @@ class StreamController : public Component
                      const KernelRegistry &kernels);
 
     // --- host-side interface -------------------------------------------
-    bool scoreboardFull() const;
+    bool
+    scoreboardFull() const
+    {
+        return static_cast<int>(slots_.size()) >= cfg_.scoreboardSlots;
+    }
     /** Push instruction @p idx of the running program. */
     void enqueue(uint32_t idx, const StreamInstr *instr);
     /** True once program instruction @p idx has completed. */

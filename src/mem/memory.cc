@@ -33,10 +33,25 @@ MemorySystem::registerStats(StatsRegistry &reg)
 MemorySystem::MemorySystem(const MachineConfig &cfg, Srf &srf)
     : cfg_(cfg), srf_(srf), ags_(cfg.numAddressGenerators),
       channels_(cfg.numChannels),
-      cacheTags_(static_cast<size_t>(cfg.mcCacheWords), -1)
+      rings_(ags_.size() * (channels_.size() + 1)),
+      cacheTags_(static_cast<size_t>(cfg.mcCacheWords), -1),
+      cacheDiv_(static_cast<uint32_t>(cfg.mcCacheWords)),
+      chanDiv_(static_cast<uint32_t>(cfg.numChannels)),
+      rowDiv_(static_cast<uint32_t>(cfg.rowWords)),
+      bankDiv_(static_cast<uint32_t>(cfg.banksPerChannel))
 {
     for (Channel &ch : channels_)
         ch.banks.assign(cfg.banksPerChannel, Bank{});
+}
+
+void
+MemorySystem::setFaultInjector(FaultInjector *inj)
+{
+    // The injector picks the delivery order, so it cannot change under
+    // words in flight.
+    for (const AgState &st : ags_)
+        IMAGINE_ASSERT(!st.active, "fault injector attached mid-transfer");
+    inj_ = inj;
 }
 
 double
@@ -148,17 +163,6 @@ MemorySystem::startSinkLoad(int ag, Addr baseWord, uint32_t words)
 }
 
 bool
-MemorySystem::agDone(int ag) const
-{
-    const AgState &st = ags_[ag];
-    if (!st.active || st.completed < st.length)
-        return false;
-    if (st.isLoad && !st.sink)
-        return srf_.outDrained(st.dataClient);
-    return true;
-}
-
-bool
 MemorySystem::agFaulted(int ag) const
 {
     const AgState &st = ags_[ag];
@@ -204,13 +208,84 @@ pqContainer(const Q &q)
     return q.*&Hack::c;
 }
 
+/** Fewest serialized bytes of one AG, one bank and one channel. */
+constexpr size_t kAgBytes = 78;
+constexpr size_t kBankBytes = 28;
+constexpr size_t kChannelBytes = 28;
+
 } // namespace
+
+std::vector<MemorySystem::Delivery>
+MemorySystem::pendingDeliveries(size_t ag) const
+{
+    if (inj_)
+        return pqContainer(ags_[ag].deliveries);
+    std::vector<Delivery> out;
+    const size_t per = channels_.size() + 1;
+    for (size_t r = ag * per; r < (ag + 1) * per; ++r)
+        for (size_t i = 0; i < rings_[r].size(); ++i)
+            out.push_back(rings_[r][i]);
+    return out;
+}
+
+void
+MemorySystem::pushDelivery(size_t ag, const Delivery &d)
+{
+    AgState &st = ags_[ag];
+    if (inj_) {
+        st.deliveries.push(d);
+        return;
+    }
+    ring(ag, d.src).push_back(d);
+    st.nextReady = std::min(st.nextReady, d.ready);
+}
+
+void
+MemorySystem::deliverOne(AgState &st, const Delivery &d)
+{
+    if (st.isLoad && !st.sink) {
+        srf_.outProduce(st.dataClient, d.elem, d.data);
+        ++stats_.wordsLoaded;
+    } else if (st.isLoad) {
+        ++stats_.wordsLoaded;
+    } else {
+        ++stats_.wordsStored;
+    }
+    ++st.completed;
+}
+
+void
+MemorySystem::deliver(size_t ag, Cycle now)
+{
+    AgState &st = ags_[ag];
+    if (inj_) {
+        while (!st.deliveries.empty() &&
+               st.deliveries.top().ready <= now) {
+            Delivery d = st.deliveries.top();
+            st.deliveries.pop();
+            deliverOne(st, d);
+        }
+        return;
+    }
+    Cycle next = UINT64_MAX;
+    for (uint32_t src = 0; src <= channels_.size(); ++src) {
+        Ring<Delivery> &q = ring(ag, src);
+        while (!q.empty() && q.front().ready <= now) {
+            deliverOne(st, q.front());
+            q.pop_front();
+        }
+        if (!q.empty())
+            next = std::min(next, q.front().ready);
+    }
+    st.nextReady = next;
+}
 
 void
 MemorySystem::saveState(ckpt::Serializer &s) const
 {
     s.u64(ags_.size());
-    for (const AgState &st : ags_) {
+    for (size_t ag = 0; ag < ags_.size(); ++ag) {
+        const AgState &st = ags_[ag];
         s.b(st.active);
         s.b(st.isLoad);
         s.b(st.indexed);
@@ -226,16 +301,13 @@ MemorySystem::saveState(ckpt::Serializer &s) const
         s.u32(st.completed);
         s.u32(st.curRecord);
         s.u64(st.curRecordBase);
-        // The heap array verbatim: restoring it element by element
-        // reproduces the identical internal layout (each push's sift-up
-        // terminates immediately on an already-valid heap), so pop
-        // order is bit-identical to the run that wrote it.
-        const std::vector<Delivery> &heap = pqContainer(st.deliveries);
-        s.u64(heap.size());
-        for (const Delivery &del : heap) {
+        std::vector<Delivery> pending = pendingDeliveries(ag);
+        s.u64(pending.size());
+        for (const Delivery &del : pending) {
             s.u64(del.ready);
             s.u32(del.elem);
             s.u32(del.data);
+            s.u32(del.src);
         }
         s.u64(st.startCycle);
         s.b(st.faultDetected);
@@ -250,7 +322,6 @@ MemorySystem::saveState(ckpt::Serializer &s) const
             s.u32(rq.elem);
             s.u8(rq.ag);
             s.b(rq.isWrite);
-            s.u64(rq.enqueuedMem);
         }
         s.u64(ch.banks.size());
         for (const Bank &bk : ch.banks) {
@@ -269,8 +340,21 @@ MemorySystem::saveState(ckpt::Serializer &s) const
 void
 MemorySystem::loadState(ckpt::Deserializer &d)
 {
-    ags_.assign(d.u64(), AgState{});
-    for (AgState &st : ags_) {
+    auto mismatch = [](const char *what, uint64_t got, int want) {
+        throw SimError(SimErrorKind::Fatal,
+                       strfmt("checkpoint memory system has %llu %s, this "
+                              "machine %d",
+                              static_cast<unsigned long long>(got), what,
+                              want));
+    };
+    const size_t nAgs = d.count(kAgBytes);
+    if (nAgs != static_cast<size_t>(cfg_.numAddressGenerators))
+        mismatch("address generators", nAgs, cfg_.numAddressGenerators);
+    ags_.assign(nAgs, AgState{});
+    for (Ring<Delivery> &q : rings_)
+        q.clear();
+    for (size_t ag = 0; ag < nAgs; ++ag) {
+        AgState &st = ags_[ag];
         st.active = d.b();
         st.isLoad = d.b();
         st.indexed = d.b();
@@ -286,18 +370,38 @@ MemorySystem::loadState(ckpt::Deserializer &d)
         st.completed = d.u32();
         st.curRecord = d.u32();
         st.curRecordBase = d.u64();
+        if (st.mar.recordWords == 0)
+            throw SimError(SimErrorKind::Fatal,
+                           strfmt("checkpoint AG%zu has zero-word records",
+                                  ag));
+        st.genRecord = st.nextElem / st.mar.recordWords;
+        st.genWord = st.nextElem % st.mar.recordWords;
+        // Re-queued in saved order: that rebuilds a heap array verbatim
+        // (each push's sift-up stops at once on a valid heap), so its
+        // pop order is the saving run's, and refills each ring in order.
+        // The config fingerprint pins whether an injector is attached,
+        // so the saving run used the same delivery order.
         for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
             Delivery del;
             del.ready = d.u64();
             del.elem = d.u32();
             del.data = d.u32();
-            st.deliveries.push(del);
+            del.src = d.u32();
+            if (del.src > static_cast<uint32_t>(cfg_.numChannels))
+                throw SimError(SimErrorKind::Fatal,
+                               strfmt("checkpoint delivery source %u is "
+                                      "not a channel or the cache",
+                                      del.src));
+            pushDelivery(ag, del);
         }
         st.startCycle = d.u64();
         st.faultDetected = d.b();
         st.stallUntil = d.u64();
     }
-    channels_.assign(d.u64(), Channel{});
+    const size_t nChannels = d.count(kChannelBytes);
+    if (nChannels != static_cast<size_t>(cfg_.numChannels))
+        mismatch("channels", nChannels, cfg_.numChannels);
+    channels_.assign(nChannels, Channel{});
     for (size_t c = 0; c < channels_.size(); ++c) {
         Channel &ch = channels_[c];
         for (uint64_t i = 0, n = d.u64(); i < n; ++i) {
@@ -305,17 +409,25 @@ MemorySystem::loadState(ckpt::Deserializer &d)
             uint32_t elem = d.u32();
             uint8_t ag = d.u8();
             bool isWrite = d.b();
-            Cycle enq = d.u64();
-            if (!MemorySpace::inBounds(addr) ||
-                addr % channels_.size() != c)
-                throw SimError(SimErrorKind::Fatal,
-                               strfmt("checkpoint DRAM request for word "
-                                      "0x%llx is not on channel %zu",
-                                      static_cast<unsigned long long>(addr),
-                                      c));
-            ch.queue.push_back(makeReq(addr, elem, ag, isWrite, enq));
+            auto bad = [&] {
+                return SimError(SimErrorKind::Fatal,
+                                strfmt("checkpoint DRAM request for word "
+                                       "0x%llx is not on channel %zu",
+                                       static_cast<unsigned long long>(addr),
+                                       c));
+            };
+            if (!MemorySpace::inBounds(addr) || ag >= nAgs)
+                throw bad();
+            size_t reqCh = 0;
+            ch.queue.push_back(makeReq(static_cast<uint32_t>(addr), elem, ag,
+                                       isWrite, reqCh));
+            if (reqCh != c)
+                throw bad();
         }
-        ch.banks.assign(d.u64(), Bank{});
+        const size_t nBanks = d.count(kBankBytes);
+        if (nBanks != static_cast<size_t>(cfg_.banksPerChannel))
+            mismatch("banks per channel", nBanks, cfg_.banksPerChannel);
+        ch.banks.assign(nBanks, Bank{});
         for (Bank &bk : ch.banks) {
             bk.openRow = d.i64();
             bk.nextFreeMem = d.u64();
@@ -326,6 +438,8 @@ MemorySystem::loadState(ckpt::Deserializer &d)
         ch.frontSkips = d.u32();
     }
     cacheTags_ = d.vec<int64_t>();
+    if (cacheTags_.size() != static_cast<size_t>(cfg_.mcCacheWords))
+        mismatch("cache words", cacheTags_.size(), cfg_.mcCacheWords);
     space_.loadState(d);
 }
 
@@ -366,45 +480,42 @@ MemorySystem::recordBase(AgState &st, uint32_t record, Addr &base)
 }
 
 void
-MemorySystem::issueAccess(AgState &st, int agIdx, Addr addr, uint32_t elem,
-                          Cycle now)
+MemorySystem::issueAccess(AgState &st, int agIdx, uint32_t addr,
+                          uint32_t elem, Cycle now)
 {
+    const auto tag = static_cast<int64_t>(addr);
+    int64_t &slot = cacheTags_[cacheDiv_.mod(addr)];
     if (st.isLoad) {
-        size_t slot = addr % cacheTags_.size();
-        if (cacheTags_[slot] == static_cast<int64_t>(addr)) {
+        if (slot == tag) {
             ++stats_.cacheHits;
-            st.deliveries.push({now + cfg_.mcPipelineCycles, elem,
-                                space_.readWord(addr)});
+            pushDelivery(static_cast<size_t>(agIdx),
+                         {now + cfg_.mcPipelineCycles, elem,
+                          space_.readWord(addr),
+                          static_cast<uint32_t>(channels_.size())});
             return;
         }
-        cacheTags_[slot] = static_cast<int64_t>(addr);
-    } else {
+        slot = tag;
+    } else if (slot != tag) {
         // Write-through: memory image updated at consume time; the tag
         // stays valid because data is always read from the image.
-        size_t slot = addr % cacheTags_.size();
-        if (cacheTags_[slot] != static_cast<int64_t>(addr))
-            cacheTags_[slot] = -1;
+        slot = -1;
     }
-    channels_[addr % channels_.size()].queue.push_back(
-        makeReq(addr, elem, static_cast<uint8_t>(agIdx), !st.isLoad,
-                now / cfg_.memClockDivider));
+    size_t ch = 0;
+    DramReq rq = makeReq(addr, elem, static_cast<uint8_t>(agIdx),
+                         !st.isLoad, ch);
+    channels_[ch].queue.push_back(rq);
 }
 
 MemorySystem::DramReq
-MemorySystem::makeReq(Addr wordAddr, uint32_t elem, uint8_t ag,
-                      bool isWrite, Cycle enqueuedMem) const
+MemorySystem::makeReq(uint32_t wordAddr, uint32_t elem, uint8_t ag,
+                      bool isWrite, size_t &ch) const
 {
-    // In bounds (< 2^26 words), so every decoded field fits 32 bits.
     DramReq r;
-    r.perChan = static_cast<uint32_t>(wordAddr / channels_.size());
-    uint32_t bankRow = r.perChan / static_cast<uint32_t>(cfg_.rowWords);
-    uint32_t banks = static_cast<uint32_t>(cfg_.banksPerChannel);
-    r.bank = static_cast<uint16_t>(bankRow % banks);
-    r.row = bankRow / banks;
+    r.perChan = chanDiv_.div(wordAddr);
+    ch = wordAddr - r.perChan * chanDiv_.divisor();
     r.elem = elem;
     r.ag = ag;
     r.isWrite = isWrite;
-    r.enqueuedMem = enqueuedMem;
     return r;
 }
 
@@ -417,36 +528,30 @@ MemorySystem::generate(int ag, Cycle now)
     if (inj_) {
         if (now < st.stallUntil)
             return;
-        if (st.nextElem < st.length) {
-            int burst = inj_->onAgGenerate(ag);
-            if (burst > 0) {
-                st.stallUntil = now + static_cast<Cycle>(burst);
-                return;
-            }
+        int burst = inj_->onAgGenerate(ag);
+        if (burst > 0) {
+            st.stallUntil = now + static_cast<Cycle>(burst);
+            return;
         }
     }
     // Strided records burst several words per cycle; indexed (gather/
     // scatter) access is limited to one generated address per cycle.
-    int budget = st.indexed ? 1 : 4;
-    // Keep outstanding work inside the SRF buffer window (or a fixed
-    // window for sink loads).
-    while (budget > 0 && st.nextElem < st.length) {
-        if (st.sink) {
-            if (st.nextElem - st.completed >= 128)
-                break;
-        } else if (st.isLoad) {
-            if (!srf_.outCanAccept(st.dataClient, st.nextElem))
-                break;
-        } else {
-            if (!srf_.inReady(st.dataClient, st.nextElem))
-                break;
-        }
-        uint32_t record = st.nextElem / st.mar.recordWords;
-        uint32_t w = st.nextElem % st.mar.recordWords;
+    // Outstanding work stays inside the SRF buffer window (or a fixed
+    // window for sink loads).  Nothing this loop does moves that
+    // window's far edge - only deliveries and the SRF tick do - so the
+    // burst's end is known up front.
+    uint32_t end = std::min(st.length, st.nextElem + (st.indexed ? 1 : 4));
+    if (st.sink)
+        end = std::min(end, st.completed + 128);
+    else if (st.isLoad)
+        end = std::min(end, srf_.outWindowEnd(st.dataClient));
+    else
+        end = std::min(end, srf_.inFetched(st.dataClient));
+    while (st.nextElem < end) {
         Addr base;
-        if (!recordBase(st, record, base))
+        if (!recordBase(st, st.genRecord, base))
             break;
-        Addr addr = base + w;
+        Addr addr = base + st.genWord;
         if (!MemorySpace::inBounds(addr)) {
             throw SimError(
                 SimErrorKind::MemoryBounds,
@@ -471,9 +576,12 @@ MemorySystem::generate(int ag, Cycle now)
             }
             space_.writeWord(addr, data);
         }
-        issueAccess(st, ag, addr, st.nextElem, now);
+        issueAccess(st, ag, static_cast<uint32_t>(addr), st.nextElem, now);
         ++st.nextElem;
-        --budget;
+        if (++st.genWord == st.mar.recordWords) {
+            st.genWord = 0;
+            ++st.genRecord;
+        }
     }
 }
 
@@ -487,14 +595,20 @@ MemorySystem::tickChannels(uint64_t memCycle)
         // oldest eight requests, but never skip the front more than 16
         // times in a row.
         size_t pick = 0;
+        uint32_t bankIdx = 0, rowIdx = 0;
+        decodeBank(ch.queue.front().perChan, bankIdx, rowIdx);
         if (ch.frontSkips < 16) {
             size_t scan = std::min<size_t>(ch.queue.size(), 8);
             for (size_t i = 0; i < scan; ++i) {
-                const DramReq &r = ch.queue[i];
-                const Bank &b = ch.banks[r.bank];
-                if (b.openRow == static_cast<int64_t>(r.row) &&
+                uint32_t bk = bankIdx, rw = rowIdx;
+                if (i > 0)
+                    decodeBank(ch.queue[i].perChan, bk, rw);
+                const Bank &b = ch.banks[bk];
+                if (b.openRow == static_cast<int64_t>(rw) &&
                     b.nextFreeMem <= memCycle) {
                     pick = i;
+                    bankIdx = bk;
+                    rowIdx = rw;
                     break;
                 }
             }
@@ -504,15 +618,14 @@ MemorySystem::tickChannels(uint64_t memCycle)
         // Order-preserving removal: shift the entries older than the
         // pick down one slot and pop the front.  The FR-FCFS scan keys
         // on position (oldest eight), so relative order must survive;
-        // this moves at most seven entries instead of deque::erase's
-        // O(queue depth) tail shift.
+        // this moves at most seven entries, not the queue's tail.
         for (size_t i = pick; i > 0; --i)
             ch.queue[i] = ch.queue[i - 1];
         ch.queue.pop_front();
 
         const Addr perChan = req.perChan;
-        Bank &bank = ch.banks[req.bank];
-        const auto row = static_cast<int64_t>(req.row);
+        Bank &bank = ch.banks[bankIdx];
+        const auto row = static_cast<int64_t>(rowIdx);
         const size_t chIdx = static_cast<size_t>(&ch - channels_.data());
         const Addr wordAddr = reqAddr(req, chIdx);
 
@@ -568,35 +681,36 @@ MemorySystem::tickChannels(uint64_t memCycle)
                     st.faultDetected = true;
             }
         }
-        st.deliveries.push({readyCore, req.elem, data});
+        pushDelivery(req.ag, {readyCore, req.elem, data,
+                              static_cast<uint32_t>(chIdx)});
     }
 }
 
 void
 MemorySystem::tick(Cycle now)
 {
-    if (now % cfg_.memClockDivider == 0)
-        tickChannels(now / cfg_.memClockDivider);
+    const auto div = static_cast<uint64_t>(cfg_.memClockDivider);
+    const uint64_t sinceBase = now - memBaseCore_;
+    if (sinceBase >= div) {     // also true when now went backwards
+        if (sinceBase == div) {
+            memBaseCore_ = now;
+            ++memNow_;
+        } else {
+            memNow_ = now / div;
+            memBaseCore_ = memNow_ * div;
+        }
+    }
+    if (now == memBaseCore_)
+        tickChannels(memNow_);
 
     for (size_t ag = 0; ag < ags_.size(); ++ag) {
-        AgState &st = ags_[ag];
+        const AgState &st = ags_[ag];
         if (!st.active)
             continue;
-        generate(static_cast<int>(ag), now);
-        while (!st.deliveries.empty() &&
-               st.deliveries.top().ready <= now) {
-            Delivery d = st.deliveries.top();
-            st.deliveries.pop();
-            if (st.isLoad && !st.sink) {
-                srf_.outProduce(st.dataClient, d.elem, d.data);
-                ++stats_.wordsLoaded;
-            } else if (st.isLoad) {
-                ++stats_.wordsLoaded;
-            } else {
-                ++stats_.wordsStored;
-            }
-            ++st.completed;
-        }
+        if (st.nextElem < st.length)    // else generate() has no work
+            generate(static_cast<int>(ag), now);
+        if (inj_ || now >= st.nextReady)
+            deliver(ag, now);
     }
 }
 

@@ -20,29 +20,10 @@ MemorySpace::outOfBounds(const char *what, Addr wordAddr)
                static_cast<unsigned long long>(sizeWords)));
 }
 
-MemorySpace::Page &
-MemorySpace::page(Addr wordAddr) const
-{
-    Page &p = pages_[wordAddr / pageWords];
-    if (p.empty())
-        p.assign(pageWords, 0);
-    return p;
-}
-
-Word
-MemorySpace::readWord(Addr wordAddr) const
-{
-    if (!inBounds(wordAddr))
-        outOfBounds("read", wordAddr);
-    return page(wordAddr)[wordAddr % pageWords];
-}
-
 void
-MemorySpace::writeWord(Addr wordAddr, Word w)
+MemorySpace::allocate(Page &p)
 {
-    if (!inBounds(wordAddr))
-        outOfBounds("write", wordAddr);
-    page(wordAddr)[wordAddr % pageWords] = w;
+    p.assign(pageWords, 0);
 }
 
 void

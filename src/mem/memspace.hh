@@ -32,8 +32,22 @@ class MemorySpace
     /** True when @p wordAddr lies inside the board address space. */
     static bool inBounds(Addr wordAddr) { return wordAddr < sizeWords; }
 
-    Word readWord(Addr wordAddr) const;
-    void writeWord(Addr wordAddr, Word w);
+    /** One word; inline, since the memory system moves every word of
+     *  every transfer through these. */
+    Word
+    readWord(Addr wordAddr) const
+    {
+        if (!inBounds(wordAddr))
+            outOfBounds("read", wordAddr);
+        return page(wordAddr)[wordAddr % pageWords];
+    }
+    void
+    writeWord(Addr wordAddr, Word w)
+    {
+        if (!inBounds(wordAddr))
+            outOfBounds("write", wordAddr);
+        page(wordAddr)[wordAddr % pageWords] = w;
+    }
 
     /** Bulk helpers for loading workload data. */
     void writeWords(Addr wordAddr, const std::vector<Word> &words);
@@ -57,7 +71,16 @@ class MemorySpace
      *  read or write, allocates (and so checkpoints) the page. */
     mutable std::vector<Page> pages_ = std::vector<Page>(numPages);
 
-    Page &page(Addr wordAddr) const;
+    Page &
+    page(Addr wordAddr) const
+    {
+        Page &p = pages_[wordAddr / pageWords];
+        if (p.empty())
+            allocate(p);
+        return p;
+    }
+    /** Back a page on first touch. */
+    static void allocate(Page &p);
 };
 
 } // namespace imagine

@@ -6,11 +6,11 @@
  * from a mid-run snapshot both end byte-identical to a straight run,
  * SimErrors included - is arms K and R of the engine-contract matrix
  * (tests/contract_test.cc), across every app, machine shape and chaos
- * seed there.  Here: serializer primitives round-trip, corrupt and
- * mismatched restores are rejected, restore honors the restoring run's
- * trace knobs, and the bisect search pinpoints an injected fault's
- * divergence interval deterministically (cross-checked against a
- * linear scan).
+ * seed there.  Here: serializer primitives round-trip, corrupt,
+ * oversized and mismatched restores are rejected, restore honors the
+ * restoring run's trace knobs, and the bisect search pinpoints an
+ * injected fault's divergence interval deterministically (cross-checked
+ * against a linear scan).
  */
 
 #include <gtest/gtest.h>
@@ -136,6 +136,62 @@ TEST(CkptTest, MismatchedRestoreIsRejected)
             EXPECT_EQ(e.kind(), SimErrorKind::Fatal);
             EXPECT_NE(std::string(e.what()).find("fingerprint"),
                       std::string::npos);
+        }
+    }
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+}
+
+TEST(CkptTest, OversizedCountIsRejectedBeforeAllocating)
+{
+    fs::path dir = fs::temp_directory_path() / "imagine_ckpt_oversized";
+    fs::create_directories(dir);
+    std::string snap = (dir / "snap.ckpt").string();
+    MachineConfig cfg = MachineConfig::devBoard();
+    {
+        MachineConfig live = cfg;
+        live.checkpointEveryCycles = 5'000;
+        live.checkpointPath = (dir / "live.ckpt").string();
+        ImagineSystem sys(live);
+        bool got = false;
+        sys.setCheckpointHook([&](Cycle, const std::string &p) {
+            if (!got)
+                fs::rename(p, snap);
+            got = true;
+        });
+        bench::runSmallApp(sys, "qrd");
+        ASSERT_TRUE(got);
+    }
+    // The "mem" section opens with the AG count.  A count whose AGs
+    // cannot fit the section must fail at the count, with the same
+    // structured error vec() gives, not size an allocation from it.
+    for (uint64_t count : {uint64_t(1) << 24, uint64_t(1) << 40}) {
+        ckpt::Serializer s;
+        bool patched = false;
+        for (ckpt::RawSection &sec : ckpt::readSections(snap)) {
+            if (sec.name == "mem") {
+                ASSERT_GE(sec.payload.size(), sizeof(count));
+                std::memcpy(sec.payload.data(), &count, sizeof(count));
+                patched = true;
+            }
+            s.section(sec.name);
+            s.bytes(sec.payload.data(), sec.payload.size());
+        }
+        ASSERT_TRUE(patched);
+        std::string bad = (dir / "bad.ckpt").string();
+        s.writeFile(bad);
+        MachineConfig restore = cfg;
+        restore.restorePath = bad;
+        ImagineSystem sys(restore);
+        try {
+            bench::runSmallApp(sys, "qrd");
+            ADD_FAILURE() << "AG count " << count << " was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Fatal);
+            EXPECT_NE(std::string(e.what()).find(
+                          "oversized count in section \"mem\""),
+                      std::string::npos)
+                << e.what();
         }
     }
     std::error_code ec;

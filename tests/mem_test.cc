@@ -3,7 +3,8 @@
  * Tests for the memory system: functional correctness of strided and
  * indexed loads/stores, SDRAM timing behaviour (row hits vs misses,
  * channel interleave, the precharge-bug quirk), the controller cache,
- * and golden counters pinning the FR-FCFS scheduler's pick order.
+ * golden counters pinning the FR-FCFS scheduler's pick order, and the
+ * delivery FIFOs checked against the injector-attached delivery heap.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "mem/memory.hh"
 #include "sim/config.hh"
 #include "sim/error.hh"
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 #include "srf/srf.hh"
 
@@ -344,4 +346,117 @@ TEST(MemoryTest, FrFcfsSchedulerGoldens)
     EXPECT_EQ(s.dramAccesses, 2560u);
     EXPECT_EQ(s.cacheHits, 0u);
     EXPECT_EQ(s.channelBusyMemCycles, 4199u);
+}
+
+namespace
+{
+
+/** Everything a memory-system run leaves behind. */
+struct DeliveryRun
+{
+    Cycle cycles = 0;
+    MemStats stats;
+    std::vector<Word> srfImage;
+    std::vector<Word> memImage;
+};
+
+/**
+ * Three phases on one memory system: the FrFcfsSchedulerGoldens load
+ * pair, then a strided store beside a gather over eight words that the
+ * controller cache serves from the second touch on.  With @p injector
+ * a zero-rate FaultInjector is attached, which switches deliveries to
+ * the per-AG heap; without, they go through the per-channel FIFOs.
+ */
+DeliveryRun
+runDeliveryMix(bool injector)
+{
+    MachineConfig cfg;
+    Srf srf(cfg);
+    MemorySystem mem(cfg, srf);
+    FaultPlan plan;
+    plan.enabled = true;    // every rate stays 0: no fault is drawn
+    FaultInjector inj(plan);
+    if (injector) {
+        srf.setFaultInjector(&inj);
+        mem.setFaultInjector(&inj);
+    }
+    for (Addr a = 0; a < 1 << 16; ++a)
+        mem.space().writeWord(a, static_cast<Word>(a * 2654435761u));
+
+    DeliveryRun out;
+    auto runBoth = [&] {
+        while ((!mem.agDone(0) || !mem.agDone(1)) && out.cycles < 100'000) {
+            mem.tick(out.cycles);
+            srf.tick();
+            ++out.cycles;
+        }
+        if (mem.agDone(0))
+            mem.finish(0);
+        if (mem.agDone(1))
+            mem.finish(1);
+    };
+
+    // Phase 1: the scheduler-golden gather and unit-stride load.
+    const uint32_t n0 = 512;
+    for (uint32_t i = 0; i < n0; ++i)
+        srf.write(i, (i * 677u) % 16384u);
+    Sdr idx0{0, n0};
+    Mar gather;
+    gather.mode = MarMode::Indexed;
+    mem.startLoad(0, gather, Sdr{n0, n0}, &idx0);
+    Mar unit;
+    unit.baseWord = 32768;
+    mem.startLoad(1, unit, Sdr{2 * n0, 2048}, nullptr);
+    runBoth();
+
+    // Phase 2: a strided store of 2-word records beside a small-range
+    // gather that hits the controller cache.
+    const uint32_t storeWords = 1024, gatherWords = 1024;
+    const uint32_t storeSrc = 4096, idx1Off = 6144, gatherDst = 8192;
+    for (uint32_t i = 0; i < storeWords; ++i)
+        srf.write(storeSrc + i, 0x5a000000u + i);
+    for (uint32_t i = 0; i < gatherWords; ++i)
+        srf.write(idx1Off + i, (i * 5u) % 8u);
+    Mar strided;
+    strided.baseWord = 100'000;
+    strided.strideWords = 7;
+    strided.recordWords = 2;
+    mem.startStore(0, strided, Sdr{storeSrc, storeWords}, nullptr);
+    Mar small;
+    small.baseWord = 40'000;
+    small.mode = MarMode::Indexed;
+    Sdr idx1{idx1Off, gatherWords};
+    mem.startLoad(1, small, Sdr{gatherDst, gatherWords}, &idx1);
+    runBoth();
+
+    out.stats = mem.stats();
+    for (uint32_t a = 0; a < srf.sizeWords(); ++a)
+        out.srfImage.push_back(srf.read(a));
+    for (Addr a = 100'000; a < 100'000 + 7 * storeWords; ++a)
+        out.memImage.push_back(mem.space().readWord(a));
+    return out;
+}
+
+} // namespace
+
+TEST(MemoryTest, DeliveryFifosMatchInjectorHeap)
+{
+    DeliveryRun fifo = runDeliveryMix(false);
+    DeliveryRun heap = runDeliveryMix(true);
+    EXPECT_LT(fifo.cycles, 100'000u) << "FIFO run did not finish";
+    EXPECT_EQ(fifo.cycles, heap.cycles);
+    EXPECT_EQ(fifo.stats.wordsLoaded, heap.stats.wordsLoaded);
+    EXPECT_EQ(fifo.stats.wordsStored, heap.stats.wordsStored);
+    EXPECT_EQ(fifo.stats.cacheHits, heap.stats.cacheHits);
+    EXPECT_EQ(fifo.stats.dramAccesses, heap.stats.dramAccesses);
+    EXPECT_EQ(fifo.stats.rowMisses, heap.stats.rowMisses);
+    EXPECT_EQ(fifo.stats.bugPrecharges, heap.stats.bugPrecharges);
+    EXPECT_EQ(fifo.stats.channelBusyMemCycles,
+              heap.stats.channelBusyMemCycles);
+    EXPECT_TRUE(fifo.srfImage == heap.srfImage);
+    EXPECT_TRUE(fifo.memImage == heap.memImage);
+    // Every path was exercised: DRAM loads, stores and cache hits.
+    EXPECT_EQ(fifo.stats.wordsLoaded, 512u + 2048u + 1024u);
+    EXPECT_EQ(fifo.stats.wordsStored, 1024u);
+    EXPECT_GE(fifo.stats.cacheHits, 500u);
 }

@@ -310,14 +310,35 @@ TEST_F(SrfTest, OutProduceRowMatchesEightProduces)
     }
 }
 
-TEST_F(SrfTest, ArbiterGrantsMatchPerWordReference)
+namespace
 {
+
+/** Ticks on which the arbiter's caps fit its bandwidth, and did not. */
+struct ArbiterBranches
+{
+    int fit = 0;
+    int overloaded = 0;
+};
+
+/**
+ * Drive an arbiter of @p bandwidth words a cycle against the test's
+ * own model of every client slot, ticked by a literal one-word-per-pass
+ * round-robin loop, and compare after every tick.  Heavy traffic
+ * (consumers and producers move up to their whole window, so the caps
+ * overrun the bandwidth) alternates with a trickle (one client moves a
+ * word one tick in four, so the caps come to fit).
+ */
+ArbiterBranches
+checkArbiterAgainstPerWordReference(int bandwidth)
+{
+    SCOPED_TRACE(testing::Message() << "bandwidth " << bandwidth);
+    ArbiterBranches branches;
     MachineConfig mc;
     mc.streamBufferWords = 2;      // base window 16: minWindow decides
+    mc.srfBandwidthWordsPerCycle = bandwidth;
+    mc.srfSizeWords = 1u << 17;    // room for seven 12000-word streams
     Srf arb(mc);
 
-    // The test's own model of every client slot, ticked by a literal
-    // one-word-per-pass round-robin loop.
     struct Model
     {
         bool active = false;
@@ -349,15 +370,25 @@ TEST_F(SrfTest, ArbiterGrantsMatchPerWordReference)
             return m.fetched < m.length && m.fetched < m.base + m.window;
         return m.base < m.produced && m.present[m.base] != 0;
     };
+    // The words a tick could move for @p m: what the arbiter caps it at.
+    auto cap = [&](const Model &m) {
+        uint32_t c = 0;
+        if (m.isIn)
+            c = std::min(m.length, m.base + m.window) - m.fetched;
+        else
+            while (m.base + c < m.produced && m.present[m.base + c])
+                ++c;
+        return std::min(c, static_cast<uint32_t>(bandwidth));
+    };
 
     // Six slots, windows that are not powers of two; closing two leaves
     // inactive slots inside the arbiter's array.
-    open(true, 0, 3000, 21);
-    int gone1 = open(false, 4000, 3000, 37);
-    open(true, 8000, 3000, 45);
-    open(false, 12000, 3000, 19);
-    int gone4 = open(true, 16000, 3000, 27);
-    open(false, 20000, 3000, 53);
+    open(true, 0, 12000, 21);
+    int gone1 = open(false, 16000, 12000, 37);
+    open(true, 32000, 12000, 45);
+    open(false, 48000, 12000, 19);
+    int gone4 = open(true, 64000, 12000, 27);
+    open(false, 80000, 12000, 53);
     arb.close(gone1);
     model[static_cast<size_t>(gone1)].active = false;
     arb.close(gone4);
@@ -366,34 +397,55 @@ TEST_F(SrfTest, ArbiterGrantsMatchPerWordReference)
     Lcg rng{42};
     size_t cursor = 0;
     uint64_t moved = 0;
-    for (int t = 0; t < 600; ++t) {
+    const bool failedBefore = testing::Test::HasFailure();
+    for (int t = 0; t < 1200; ++t) {
         if (t == 300) {     // reuses the first free slot
-            ASSERT_EQ(open(true, 24000, 3000, 29), gone1);
+            EXPECT_EQ(open(true, 96000, 12000, 29), gone1);
         }
+        // Each 300 ticks: 40 heavy, then a trickle that lets the
+        // backlog drain even at 1 word a cycle.
+        const bool heavy = t % 300 < 40;
+        const size_t actor = rng.below(static_cast<uint32_t>(model.size()));
+        const bool trickle = rng.below(4) == 0;
         // Consumers and producers act between ticks.
         for (size_t h = 0; h < model.size(); ++h) {
             Model &m = model[h];
             int c = static_cast<int>(h);
-            if (!m.active)
+            if (!m.active || (!heavy && (h != actor || !trickle)))
                 continue;
             if (m.isIn) {
-                uint32_t k = rng.below(m.fetched - m.base + 1);
+                uint32_t avail = m.fetched - m.base;
+                uint32_t k = heavy ? rng.below(avail + 1)
+                                   : std::min(avail, 1u);
                 for (uint32_t i = 0; i < k; ++i)
                     arb.inConsume(c, m.base++);
             } else {
                 uint32_t room = std::min(m.length, m.base + m.window) -
                                 m.produced;
-                uint32_t k = rng.below(room + 1);
+                uint32_t k = heavy ? room - rng.below(room / 4 + 1)
+                                   : std::min(room, 1u);
                 for (uint32_t i = 0; i < k; ++i) {
                     arb.outProduce(c, m.produced, m.produced);
                     m.present[m.produced++] = 1;
                 }
             }
         }
+        uint64_t capSum = 0;
+        bool any = false;
+        for (const Model &m : model) {
+            if (movable(m)) {
+                any = true;
+                capSum += cap(m);
+            }
+        }
+        if (any)
+            ++(capSum > static_cast<uint64_t>(bandwidth)
+                   ? branches.overloaded
+                   : branches.fit);
         arb.tick();
         // Reference arbiter: one word per movable client per pass, in
         // cursor order, until the bandwidth is spent.
-        int tokens = mc.srfBandwidthWordsPerCycle;
+        int tokens = bandwidth;
         bool progress = true;
         while (tokens > 0 && progress) {
             progress = false;
@@ -414,25 +466,42 @@ TEST_F(SrfTest, ArbiterGrantsMatchPerWordReference)
         }
         cursor = (cursor + 1) % model.size();
 
-        ASSERT_EQ(arb.stats().wordsTransferred, moved) << "tick " << t;
+        EXPECT_EQ(arb.stats().wordsTransferred, moved) << "tick " << t;
         for (size_t h = 0; h < model.size(); ++h) {
             const Model &m = model[h];
             int c = static_cast<int>(h);
             if (!m.active)
                 continue;
             if (m.isIn) {
-                ASSERT_TRUE(m.fetched == 0 ||
+                EXPECT_TRUE(m.fetched == 0 ||
                             arb.inReady(c, m.fetched - 1))
                     << "tick " << t << " client " << h;
-                ASSERT_FALSE(arb.inReady(c, m.fetched))
+                EXPECT_FALSE(arb.inReady(c, m.fetched))
                     << "tick " << t << " client " << h;
             } else {
-                ASSERT_TRUE(arb.outCanAccept(c, m.base + m.window - 1))
+                EXPECT_TRUE(arb.outCanAccept(c, m.base + m.window - 1))
                     << "tick " << t << " client " << h;
-                ASSERT_FALSE(arb.outCanAccept(c, m.base + m.window))
+                EXPECT_FALSE(arb.outCanAccept(c, m.base + m.window))
                     << "tick " << t << " client " << h;
             }
         }
+        if (!failedBefore && testing::Test::HasFailure())
+            break;
     }
-    EXPECT_GT(moved, 1000u);
+    EXPECT_GT(moved, 900u);        // 1200 at most at 1 word a cycle
+    return branches;
+}
+
+} // namespace
+
+TEST_F(SrfTest, ArbiterGrantsMatchPerWordReference)
+{
+    // 1 word a cycle grants at most one client a tick, 64 usually fits
+    // every cap, 5 and 16 (the paper's arbiter) fall in between; each
+    // must take both the all-caps-fit branch and the water-level branch.
+    for (int bandwidth : {1, 5, 16, 64}) {
+        ArbiterBranches b = checkArbiterAgainstPerWordReference(bandwidth);
+        EXPECT_GE(b.fit, 50) << "bandwidth " << bandwidth;
+        EXPECT_GE(b.overloaded, 50) << "bandwidth " << bandwidth;
+    }
 }
