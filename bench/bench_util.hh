@@ -1,13 +1,8 @@
 /**
  * @file
- * Shared helpers for the per-table / per-figure paper binaries.
- *
- * Every binary is a plain executable that follows the same pattern:
- * simulate each cell of its table once, print the paper-style table
- * with the paper's reference values alongside (so EXPERIMENTS.md can
- * quote paper-vs-measured directly from the output), and exit nonzero
- * if any run failed its validation.  ctest runs all of them under the
- * `paper` label.
+ * Shared helpers for the views of the paper executable (bench/paper.cc):
+ * the section header, the SRF-resident kernel loop, seeded input words,
+ * and the failed-check count that becomes its exit status.
  */
 
 #ifndef IMAGINE_BENCH_BENCH_UTIL_HH
@@ -146,41 +141,11 @@ expectValid(const apps::AppResult &r, const std::string &what)
         fail(what + " did not validate");
 }
 
-/** The exit code of a paper binary: nonzero once any check failed. */
+/** The paper executable's exit code: nonzero once any check failed. */
 inline int
 exitStatus()
 {
     return failedChecks ? 1 : 0;
-}
-
-/** The four applications' results. */
-struct AppRuns
-{
-    apps::AppResult depth, mpeg, qrd, rtsl;
-};
-
-/**
- * Run all four applications on a fresh system each; every app that
- * does not validate counts as a failed check.
- */
-inline AppRuns
-runAllApps(const MachineConfig &cfg)
-{
-    SimBatch batch;
-    std::vector<apps::AppResult> rs = batch.run(4, [&](int i) {
-        ImagineSystem sys(cfg);    // private session per job
-        switch (i) {
-          case 0: return apps::runDepth(sys);
-          case 1: return apps::runMpeg(sys);
-          case 2: return apps::runQrd(sys);
-          default: return apps::runRtsl(sys);
-        }
-    });
-    const char *names[] = {"DEPTH", "MPEG", "QRD", "RTSL"};
-    for (size_t i = 0; i < rs.size(); ++i)
-        expectValid(rs[i], names[i]);
-    return AppRuns{std::move(rs[0]), std::move(rs[1]),
-                   std::move(rs[2]), std::move(rs[3])};
 }
 
 } // namespace imagine::bench

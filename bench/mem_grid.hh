@@ -2,8 +2,8 @@
  * @file
  * The Figure 9/10 memory grid: the paper's six access patterns, the
  * bandwidth of repeated host-issued loads over one or two address
- * generators, and the batched patterns x lengths table, shared by the
- * Figure 9 and Figure 10 binaries.
+ * generators, and the batched patterns x lengths table that the
+ * Figure 9 and Figure 10 views print.
  */
 
 #ifndef IMAGINE_BENCH_MEM_GRID_HH

@@ -4,7 +4,7 @@
  * fidelity-stress application shapes, and the chaos campaign config.
  *
  * Included by the tests (every test binary has bench/ on its include
- * path) and the bench binaries (bench/table3_apps.cc via bench_util.hh,
+ * path) and the bench executables (bench/paper.cc via bench_util.hh,
  * bench/perf_smoke.cc, bench/chaos_bisect.cc), which sweep the same
  * shapes, so a knob added here lands in all of them.
  */
@@ -32,7 +32,7 @@ struct MachineShape
 
 /**
  * The machine-shape list shared by tests/config_sweep_test.cc and the
- * bench binaries' design-space sweeps: the devBoard baseline plus one
+ * bench executables' design-space sweeps: the devBoard baseline plus one
  * knob bent per shape (unit counts, latencies, buffer sizes,
  * bandwidths), and the isim reference machine.
  */
@@ -108,7 +108,8 @@ machineShapes()
  * kernels hold multi-thousand-iteration steady states.  rtsl stays
  * stock: its hot kernels use conditional output streams, structurally
  * ineligible to fold.  @p app is 0..3 = depth/mpeg/qrd/rtsl.  Shared
- * by perf_smoke's fidelityAB axis and table3's sampled DSE sweep.
+ * by perf_smoke's fidelityAB axis and the Table 3 view's sampled DSE
+ * sweep.
  */
 inline apps::AppResult
 runStressApp(ImagineSystem &sys, int app)
